@@ -8,14 +8,29 @@
 // substitute SHA-256, truncated HMAC-SHA-256 and Ed25519 from the Go standard
 // library. The property the protocol depends on — MACs being orders of
 // magnitude cheaper than signatures, digests in between — is preserved.
+//
+// Session keys are keyed for HMAC once, when they are installed. HMAC-SHA-256
+// (RFC 2104) hashes key⊕ipad and key⊕opad as the first block of its inner
+// and outer hashes; those two blocks depend only on the key, so a KeyStore
+// keeps the marshaled SHA-256 state after each of them (the midstates) next
+// to the key. A MAC then restores the inner midstate into a pooled scratch
+// hash, hashes the payload, restores the outer midstate and hashes the inner
+// sum: one payload hash and one extra block, with no allocation. The tags are
+// bit-identical to crypto/hmac's. Midstates never go stale: key rotation
+// (RefreshIn, SetOut) publishes a new copy-on-write snapshot holding a new
+// key with its own midstates, and a snapshot, once published, is never
+// modified, so a reader always pairs a key with the pads derived from it.
 package crypto
 
 import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // DigestSize is the size in bytes of a message or state digest.
@@ -73,22 +88,100 @@ func DigestOfU64(nums []uint64, parts ...[]byte) Digest {
 // MAC is a truncated message authentication tag for one sender/receiver pair.
 type MAC [MACSize]byte
 
-// ComputeMAC computes the MAC of payload under key.
-func ComputeMAC(key []byte, payload []byte) MAC {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(payload)
-	var sum [sha256.Size]byte
-	mac.Sum(sum[:0])
+// macKey is a key prepared for HMAC-SHA-256: the marshaled SHA-256 states
+// after absorbing the key⊕ipad block (inner) and the key⊕opad block (outer).
+// It is immutable once built.
+type macKey struct {
+	inner, outer []byte
+}
+
+// shaState is a SHA-256 hash whose state can be saved and restored.
+type shaState interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// macScratch is the per-MAC working set: a SHA-256 state and buffers for a
+// pad block and the inner sum. They live in the pooled struct so nothing
+// escapes per call.
+type macScratch struct {
+	h     shaState
+	block [sha256.BlockSize]byte
+	sum   [sha256.Size]byte
+}
+
+var macPool = sync.Pool{New: func() any {
+	return &macScratch{h: sha256.New().(shaState)}
+}}
+
+// newMACKey computes the HMAC midstates of key. Keys longer than a SHA-256
+// block are hashed first, as RFC 2104 requires.
+func newMACKey(key []byte) macKey {
+	if len(key) > sha256.BlockSize {
+		k := sha256.Sum256(key)
+		key = k[:]
+	}
+	s := macPool.Get().(*macScratch)
+	defer macPool.Put(s)
+	return macKey{inner: s.midstate(key, 0x36), outer: s.midstate(key, 0x5c)}
+}
+
+// midstate returns the marshaled SHA-256 state after hashing one block of
+// key, zero-padded, XORed with pad.
+func (s *macScratch) midstate(key []byte, pad byte) []byte {
+	for i := range s.block {
+		s.block[i] = pad
+	}
+	for i, b := range key {
+		s.block[i] ^= b
+	}
+	s.h.Reset()
+	s.h.Write(s.block[:])
+	st, err := s.h.MarshalBinary()
+	if err != nil {
+		panic("crypto: sha256 state does not marshal: " + err.Error())
+	}
+	return st
+}
+
+// restore loads a midstate built by newMACKey into the scratch hash.
+func (s *macScratch) restore(state []byte) {
+	if err := s.h.UnmarshalBinary(state); err != nil {
+		panic("crypto: corrupt HMAC midstate: " + err.Error())
+	}
+}
+
+// compute returns the truncated HMAC of payload under k.
+func (k macKey) compute(payload []byte) MAC {
+	s := macPool.Get().(*macScratch)
+	s.restore(k.inner)
+	s.h.Write(payload)
+	s.h.Sum(s.sum[:0])
+	s.restore(k.outer)
+	s.h.Write(s.sum[:])
+	s.h.Sum(s.sum[:0])
 	var m MAC
-	copy(m[:], sum[:MACSize])
+	copy(m[:], s.sum[:MACSize])
+	macPool.Put(s)
 	return m
+}
+
+// verify reports whether m is the MAC of payload under k, in constant time.
+func (k macKey) verify(payload []byte, m MAC) bool {
+	want := k.compute(payload)
+	return hmac.Equal(want[:], m[:])
+}
+
+// ComputeMAC computes the MAC of payload under key. It keys the HMAC from
+// scratch; KeyStore methods reuse the pads computed at key install instead.
+func ComputeMAC(key []byte, payload []byte) MAC {
+	return newMACKey(key).compute(payload)
 }
 
 // VerifyMAC reports whether m is a valid MAC of payload under key.
 func VerifyMAC(key []byte, payload []byte, m MAC) bool {
-	want := ComputeMAC(key, payload)
-	// Constant time is unnecessary in the simulation but cheap.
-	return hmac.Equal(want[:], m[:])
+	return newMACKey(key).verify(payload, m)
 }
 
 // Authenticator is a vector of MACs, one per replica, attached to messages

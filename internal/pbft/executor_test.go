@@ -56,6 +56,7 @@ func TestExecMetricsSurface(t *testing.T) {
 		blob[0] = byte(i)
 		mustInvoke(t, cl, kvservice.WriteBlob(blob), false)
 	}
+	waitExecFrontier(t, c, 1)
 	m := c.Replica(1).Metrics()
 	if m.CheckpointsTaken == 0 {
 		t.Fatalf("no checkpoints after 10 writes with K=4: %+v", m)

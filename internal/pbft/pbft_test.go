@@ -603,6 +603,7 @@ func TestBatchingUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitExecFrontier(t, c, 0)
 	m := c.Replica(0).Metrics()
 	if m.BatchesExecuted == 0 || m.RequestsExecuted < nClients*5 {
 		t.Fatalf("metrics: %+v", m)

@@ -157,57 +157,10 @@ func BenchmarkThroughput00(b *testing.B) {
 	b.ReportMetric(total/float64(b.N), "ops/s")
 }
 
-// BenchmarkThroughput00SerialIngress / BenchmarkThroughput00PipelinedIngress
-// pin the ingress mode explicitly (BenchmarkThroughput00 uses the adaptive
-// default): serial decodes and MAC-checks inline on each replica's event
-// loop, pipelined fans that work across the ingress pool. Comparing the two
-// ops/s metrics isolates the pipeline's contribution; see also
-// BenchmarkIngressPipeline in internal/ingress for the ingress stage alone.
-func BenchmarkThroughput00SerialIngress(b *testing.B) {
-	benchThroughputIngress(b, false)
-}
-
-func BenchmarkThroughput00PipelinedIngress(b *testing.B) {
-	benchThroughputIngress(b, true)
-}
-
-func benchThroughputIngress(b *testing.B, pipeline bool) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.Pipeline = pipeline })
-}
-
-// BenchmarkThroughput00SerialEgress / BenchmarkThroughput00PipelinedEgress
-// pin the egress mode the same way: serial seals every outbound message
-// (marshal + O(n) MACs) inline on the event loop, pipelined fans that work
-// across the egress pool. See also BenchmarkEgressPipeline in
-// internal/egress for the egress stage alone.
-func BenchmarkThroughput00SerialEgress(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.EgressPipeline = false })
-}
-
-func BenchmarkThroughput00PipelinedEgress(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.EgressPipeline = true })
-}
-
-// BenchmarkThroughput00InlineExec / BenchmarkThroughput00StagedExec pin the
-// stage-3 executor the same way: inline runs Service.Execute, checkpoint
-// digesting, and reply construction on the event loop; staged ships them to
-// the ordered executor goroutine so agreement for batch n+1 overlaps
-// execution of batch n. See also BenchmarkExecPipeline in internal/executor
-// for the execution stage alone.
-func BenchmarkThroughput00InlineExec(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.ExecPipeline = false })
-}
-
-func BenchmarkThroughput00StagedExec(b *testing.B) {
-	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.ExecPipeline = true })
-}
-
 // BenchmarkThroughput00Batch1 / Batch16Fixed / BatchAdaptive pin the
 // primary's proposal policy (§5.1.4): serial issues one pre-prepare per
 // request, fixed drains up to BatchRequests per proposal, adaptive tracks
-// the AIMD fill target (the default). Interleaved with the pipeline rows
-// above, the ops/s metrics separate batching's contribution from the
-// stage pipelines'.
+// the AIMD fill target (the default).
 func BenchmarkThroughput00Batch1(b *testing.B) {
 	benchThroughputOpt(b, func(cfg *pbft.Config) { cfg.Opt.Batching = false })
 }
@@ -221,15 +174,7 @@ func BenchmarkThroughput00BatchAdaptive(b *testing.B) {
 }
 
 func benchThroughputOpt(b *testing.B, mut func(*pbft.Config)) {
-	c, _ := benchClusterOpt(b, pbft.ModeMAC, 4, func(cfg *pbft.Config) {
-		// Pin all three pipelines on before the variant's mutation (the
-		// defaults adapt to core count): each serial-vs-pipelined pair then
-		// differs by exactly one pipeline on any host.
-		cfg.Opt.Pipeline = true
-		cfg.Opt.EgressPipeline = true
-		cfg.Opt.ExecPipeline = true
-		mut(cfg)
-	})
+	c, _ := benchClusterOpt(b, pbft.ModeMAC, 4, mut)
 	b.ResetTimer()
 	var total float64
 	for i := 0; i < b.N; i++ {

@@ -74,8 +74,8 @@ const (
 
 // Metrics is the per-replica counter snapshot returned by Replica.Metrics:
 // protocol events (batches, view changes, checkpoints, state transfers,
-// recoveries) and engine-stage health (inbox/outbox drops, executor queue
-// depth). It is a plain value — reading it never perturbs the replica.
+// recoveries) and engine health (inbox drops, queue depth, checkpoint and
+// WAL costs). It is a plain value — reading it never perturbs the replica.
 type Metrics = pbft.Metrics
 
 // SumMetrics folds any set of Metrics snapshots (replicas, groups, whole
@@ -137,9 +137,8 @@ type Options struct {
 	ProactiveRecovery time.Duration
 	// DisableOptimizations turns off every Chapter 5 protocol optimization
 	// (digest replies, tentative execution, read-only, batching, separate
-	// request transmission); useful for measurement. The engine's internal
-	// pipeline stages (ingress/egress/executor) are NOT optimizations and
-	// stay on — they are how the replica runs, not what the paper ablates.
+	// request transmission); useful for measurement. Engine settings such
+	// as the fetch window are NOT optimizations and keep their values.
 	DisableOptimizations bool
 	// Batching knobs (§5.1.4; see README "Batching & pipelining"). The
 	// primary drains its request queue into batches capped three ways:
@@ -168,9 +167,12 @@ type Options struct {
 	// FetchWindow bounds parallel state-transfer partition fetches in
 	// flight (§6.2.2). Default 8; 1 reproduces the serial fetch engine.
 	FetchWindow int
-	// PipelineWorkers sizes the ingress (decode+verify) worker pool;
-	// EgressWorkers sizes the egress (marshal+seal) pool. 0 means
-	// GOMAXPROCS. On single-core hosts the pipelines default off.
+	// PipelineWorkers and EgressWorkers once sized worker pools that
+	// decoded, verified and sealed messages off a replica's event loop.
+	// Each replica now does that work on its event loop, so both are
+	// ignored; negative values are still rejected by Validate.
+	//
+	// Deprecated: no effect.
 	PipelineWorkers int
 	EgressWorkers   int
 	// InboxCap bounds each replica's receive queue; overflow models
@@ -288,7 +290,7 @@ func (o Options) maxClients() int {
 }
 
 // engineConfig lowers public Options onto the engine's per-replica Config.
-// Engine pipeline defaults always come from pbft.DefaultOptions;
+// Engine defaults always come from pbft.DefaultOptions;
 // DisableOptimizations strips only the Chapter 5 protocol optimizations.
 func (o Options) engineConfig() pbft.Config {
 	if err := o.Validate(); err != nil {
@@ -318,12 +320,6 @@ func (o Options) engineConfig() pbft.Config {
 	}
 	if o.FetchWindow > 0 {
 		opt.FetchWindow = o.FetchWindow
-	}
-	if o.PipelineWorkers > 0 {
-		opt.PipelineWorkers = o.PipelineWorkers
-	}
-	if o.EgressWorkers > 0 {
-		opt.EgressWorkers = o.EgressWorkers
 	}
 	cfg := pbft.Config{
 		N:                  o.replicas(),

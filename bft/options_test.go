@@ -10,9 +10,10 @@ import (
 
 // TestDisableOptimizationsKeepsPipelines is the regression test for the
 // DisableOptimizations bug: it used to zero the whole engine Options,
-// silently turning off the ingress/egress/executor pipelines — engine
-// stages, not Chapter 5 optimizations. A measurement run must keep the
-// engine configuration identical and strip only the protocol
+// silently changing engine settings that are not Chapter 5 optimizations.
+// A measurement run must keep the engine configuration identical — the
+// agreement window and the state-transfer fetch window, the two pipelines
+// the engine still has, included — and strip only the protocol
 // optimizations.
 func TestDisableOptimizationsKeepsPipelines(t *testing.T) {
 	def := pbft.DefaultOptions()
@@ -22,15 +23,26 @@ func TestDisableOptimizationsKeepsPipelines(t *testing.T) {
 		cfg.Opt.Batching || cfg.Opt.SeparateRequests {
 		t.Fatalf("a Chapter 5 optimization survived DisableOptimizations: %+v", cfg.Opt)
 	}
-	if cfg.Opt.Pipeline != def.Pipeline ||
-		cfg.Opt.EgressPipeline != def.EgressPipeline ||
-		cfg.Opt.ExecPipeline != def.ExecPipeline {
-		t.Fatalf("DisableOptimizations changed the engine pipelines: got %+v, engine default %+v",
-			cfg.Opt, def)
+	want := def.WithoutOptimizations()
+	if cfg.Opt != want {
+		t.Fatalf("DisableOptimizations changed an engine setting: got %+v, want %+v", cfg.Opt, want)
 	}
 	if cfg.Opt.FetchWindow != def.FetchWindow {
 		t.Fatalf("DisableOptimizations changed FetchWindow: %d vs %d",
 			cfg.Opt.FetchWindow, def.FetchWindow)
+	}
+	if cfg.Opt.AgreementWindow != def.AgreementWindow {
+		t.Fatalf("DisableOptimizations changed AgreementWindow: %d vs %d",
+			cfg.Opt.AgreementWindow, def.AgreementWindow)
+	}
+}
+
+// TestDeprecatedWorkerKnobsAreNoOps pins PipelineWorkers and EgressWorkers
+// as accepted-but-ignored: setting them leaves the engine config unchanged.
+func TestDeprecatedWorkerKnobsAreNoOps(t *testing.T) {
+	got := EngineConfig(Options{PipelineWorkers: 5, EgressWorkers: 6})
+	if want := EngineConfig(Options{}); got.Opt != want.Opt {
+		t.Fatalf("worker knobs reached the engine: got %+v, want %+v", got.Opt, want.Opt)
 	}
 }
 
@@ -42,8 +54,6 @@ func TestOptionsKnobsReachEngine(t *testing.T) {
 		CheckpointInterval: 32,
 		LogWindow:          96,
 		FetchWindow:        3,
-		PipelineWorkers:    5,
-		EgressWorkers:      6,
 		InboxCap:           777,
 		StateSize:          1 << 15,
 		PageSize:           512,
@@ -63,8 +73,8 @@ func TestOptionsKnobsReachEngine(t *testing.T) {
 	if got := uint64(cfg.LogWindow); got != 96 {
 		t.Fatalf("L=%d", got)
 	}
-	if cfg.Opt.FetchWindow != 3 || cfg.Opt.PipelineWorkers != 5 || cfg.Opt.EgressWorkers != 6 {
-		t.Fatalf("pipeline knobs: %+v", cfg.Opt)
+	if cfg.Opt.FetchWindow != 3 {
+		t.Fatalf("fetch window: %+v", cfg.Opt)
 	}
 	if cfg.InboxCap != 777 || cfg.StateSize != 1<<15 || cfg.PageSize != 512 {
 		t.Fatalf("capacity knobs: inbox=%d state=%d page=%d", cfg.InboxCap, cfg.StateSize, cfg.PageSize)
@@ -110,6 +120,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"window under defaulted K", Options{LogWindow: 64}, "water-mark"},
 		{"window at defaulted K", Options{LogWindow: 128}, ""},
 		{"negative knob", Options{InboxCap: -1}, "negative"},
+		{"negative deprecated ingress workers", Options{PipelineWorkers: -1}, "negative"},
+		{"negative deprecated egress workers", Options{EgressWorkers: -1}, "negative"},
 		{"negative duration", Options{RetryTimeout: -time.Second}, "negative"},
 		{"negative batch cap", Options{BatchRequests: -1}, "negative"},
 		{"negative byte cap", Options{BatchBytes: -1}, "negative"},

@@ -58,20 +58,17 @@ func (s *keySnapshot) clone() *keySnapshot {
 // and its "out" keys are the latest ones each peer announced.
 //
 // KeyStore is safe for concurrent use and optimized for read-mostly access:
-// the ingress pipeline's workers verify MACs against an immutable snapshot
-// (one atomic pointer load, no lock), while key refresh from the replica
-// event loop publishes a new snapshot copy-on-write. A verification that
-// races a refresh sees either the old or the new generation atomically,
+// verifiers (a client's receive goroutine, for one) check MACs against an
+// immutable snapshot (one atomic pointer load, no lock), while key refresh
+// publishes a new snapshot copy-on-write. A verification that
+// races a refresh sees either the old or the new snapshot atomically,
 // never a torn mix — the epoch freshness check then decides acceptance.
 type KeyStore struct {
 	self uint32
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[keySnapshot]
-	// gen counts published generations. A verifier that records the
-	// generation alongside a verdict can later detect that keys rotated in
-	// between and re-verify — the §4.3.2 stale-key defense for verdicts
-	// that cross a refresh (the epoch field in an authenticator trailer is
-	// attacker-controlled and cannot be trusted for this).
+	// gen counts published snapshots, so an observer can tell whether keys
+	// changed between two points without comparing key material.
 	gen atomic.Uint64
 }
 
@@ -83,10 +80,8 @@ func NewKeyStore(self uint32) *KeyStore {
 }
 
 // mutate runs fn on a private clone of the current snapshot and, if fn
-// reports a change, publishes the clone as a new generation. This is the
-// ONLY publish path: the snap.Store + gen.Add pairing is the correctness
-// core of the copy-on-write scheme and must not be duplicated. Callers
-// hold no other KeyStore locks.
+// reports a change, publishes the clone. This is the ONLY publish path.
+// Callers hold no other KeyStore locks.
 func (ks *KeyStore) mutate(fn func(*keySnapshot) bool) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
@@ -99,17 +94,16 @@ func (ks *KeyStore) mutate(fn func(*keySnapshot) bool) {
 }
 
 // Generation returns the current key generation. It changes exactly when a
-// mutation publishes a new snapshot, so a reader that saw the same value
-// before and after an operation worked against current keys throughout.
+// mutation publishes a new snapshot: a reader that saw the same value
+// before and after an operation worked against the same keys throughout.
 func (ks *KeyStore) Generation() uint64 { return ks.gen.Load() }
 
 // InstallInitial seeds the pairwise keys between self and peer
 // deterministically, as if an offline administrator had distributed them.
 // Both ends derive the same value, so clusters come up with working keys
 // before any new-key message is exchanged. Re-installing over present keys
-// is a true no-op (no new generation), so concurrent lazy installs from
-// verification workers can neither roll an epoch back nor churn the
-// generation counter.
+// is a true no-op (nothing is published), so a lazy install can never roll
+// an epoch back.
 func (ks *KeyStore) InstallInitial(peer uint32) {
 	ks.mutate(func(s *keySnapshot) bool {
 		_, haveIn := s.in[peer]

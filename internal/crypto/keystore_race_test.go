@@ -86,10 +86,9 @@ func TestKeyStoreConcurrentVerifyDuringRefresh(t *testing.T) {
 	}
 }
 
-// TestKeyStoreGeneration pins the contract the replica's stale-verdict
-// re-check depends on: the generation changes on every real key mutation
-// and stays put on redundant installs, so an unchanged generation proves a
-// verdict was computed against current keys.
+// TestKeyStoreGeneration pins the generation contract: it changes on every
+// real key mutation and stays put on redundant installs, so an unchanged
+// generation proves no key rotated in between.
 func TestKeyStoreGeneration(t *testing.T) {
 	ks := NewKeyStore(0)
 	g0 := ks.Generation()
@@ -114,8 +113,8 @@ func TestKeyStoreGeneration(t *testing.T) {
 }
 
 // TestKeyStoreInstallInitialIdempotent verifies lazy installs cannot
-// clobber refreshed keys (the ingress workers race InstallInitial against
-// the event loop's RefreshIn).
+// clobber refreshed keys (a lazy install for a first-seen peer may follow
+// a RefreshIn).
 func TestKeyStoreInstallInitialIdempotent(t *testing.T) {
 	a := NewKeyStore(0)
 	a.InstallInitial(1)

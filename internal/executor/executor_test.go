@@ -2,87 +2,66 @@ package executor
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/crypto"
 	"repro/internal/kvservice"
 	"repro/internal/message"
 	"repro/internal/statemachine"
 )
 
-// captureOut records replies for inspection.
-type captureOut struct {
-	mu   sync.Mutex
-	reps []*message.Reply
-}
-
-func (c *captureOut) SendReply(rep *message.Reply) {
-	c.mu.Lock()
-	c.reps = append(c.reps, rep)
-	c.mu.Unlock()
-}
-
-func (c *captureOut) replies() []*message.Reply {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*message.Reply(nil), c.reps...)
+func req(client message.NodeID, ts uint64, op []byte) *message.Request {
+	return &message.Request{Client: client, Timestamp: ts, Replier: message.NoNode, Op: op}
 }
 
 type harness struct {
-	ex     *Executor
-	out    *captureOut
-	region *statemachine.Region
-	mgr    *checkpoint.Manager
-	events chan Event
+	ex   *Executor
+	reps []*message.Reply
+	mgr  *checkpoint.Manager
 }
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	region := statemachine.NewRegion(kvservice.MinStateSize, 1024)
-	svc := kvservice.New(region)
-	mgr := checkpoint.NewManager(region, 16)
-	h := &harness{
-		out:    &captureOut{},
-		region: region,
-		mgr:    mgr,
-		events: make(chan Event, 64),
-	}
+	h := &harness{mgr: checkpoint.NewManager(region, 16)}
 	h.ex = New(Config{
 		Self:          0,
 		DigestReplies: true,
 		SmallResult:   32,
-		Service:       svc,
-		Ckpt:          mgr,
+		Service:       kvservice.New(region),
+		Ckpt:          h.mgr,
 		Cache:         NewReplyCache(),
-		Out:           h.out,
-		Report:        func(ev Event) { h.events <- ev },
+		Out:           func(rep *message.Reply) { h.reps = append(h.reps, rep) },
 	})
-	t.Cleanup(h.ex.Close)
 	return h
 }
 
-func req(client message.NodeID, ts uint64, op []byte) *message.Request {
-	return &message.Request{Client: client, Timestamp: ts, Replier: message.NoNode, Op: op}
+// execBatch executes entries in order as one batch ordered in view 0.
+func (h *harness) execBatch(tentative bool, entries ...Entry) (ran int) {
+	for _, ent := range entries {
+		if h.ex.Exec(ent, 0, nil, tentative) {
+			ran++
+		}
+	}
+	return ran
 }
 
 func TestExecBatchRepliesAndCaches(t *testing.T) {
 	h := newHarness(t)
 	cl := message.ClientIDBase
-	h.ex.ExecBatch(1, 0, nil, false, []Entry{
-		{Req: req(cl, 1, kvservice.Incr())},
-		{Req: req(cl+1, 1, kvservice.Incr())},
-	})
-	h.ex.Sync(func() {})
-	reps := h.out.replies()
-	if len(reps) != 2 {
-		t.Fatalf("got %d replies, want 2", len(reps))
+	if ran := h.execBatch(false,
+		Entry{Req: req(cl, 1, kvservice.Incr())},
+		Entry{Req: req(cl+1, 1, kvservice.Incr())},
+	); ran != 2 {
+		t.Fatalf("%d of 2 fresh requests ran", ran)
 	}
-	if got := kvservice.DecodeU64(reps[0].Result); got != 1 {
+	if len(h.reps) != 2 {
+		t.Fatalf("got %d replies, want 2", len(h.reps))
+	}
+	if got := kvservice.DecodeU64(h.reps[0].Result); got != 1 {
 		t.Fatalf("first incr -> %d", got)
 	}
-	if got := kvservice.DecodeU64(reps[1].Result); got != 2 {
+	if got := kvservice.DecodeU64(h.reps[1].Result); got != 2 {
 		t.Fatalf("second incr -> %d", got)
 	}
 	if cr := h.ex.Cache().Get(cl); cr == nil || cr.Timestamp != 1 {
@@ -93,68 +72,44 @@ func TestExecBatchRepliesAndCaches(t *testing.T) {
 func TestExactlyOnceAndResend(t *testing.T) {
 	h := newHarness(t)
 	cl := message.ClientIDBase
-	h.ex.ExecBatch(1, 0, nil, false, []Entry{{Req: req(cl, 5, kvservice.Incr())}})
+	h.execBatch(false, Entry{Req: req(cl, 5, kvservice.Incr())})
 	// A duplicate at the same timestamp resends the cached reply instead of
 	// re-executing; an older timestamp is dropped.
-	h.ex.ExecBatch(2, 0, nil, false, []Entry{
-		{Req: req(cl, 5, kvservice.Incr())},
-		{Req: req(cl, 4, kvservice.Incr())},
-	})
-	h.ex.ResendReply(cl, 0)
-	h.ex.Sync(func() {})
-	reps := h.out.replies()
-	if len(reps) != 3 { // execute + duplicate resend + explicit resend
-		t.Fatalf("got %d replies, want 3", len(reps))
+	if ran := h.execBatch(false,
+		Entry{Req: req(cl, 5, kvservice.Incr())},
+		Entry{Req: req(cl, 4, kvservice.Incr())},
+	); ran != 0 {
+		t.Fatalf("%d stale or duplicate requests ran", ran)
 	}
-	for i, rep := range reps {
+	h.ex.ResendReply(cl, 0)
+	if len(h.reps) != 3 { // execute + duplicate resend + explicit resend
+		t.Fatalf("got %d replies, want 3", len(h.reps))
+	}
+	for i, rep := range h.reps {
 		if got := kvservice.DecodeU64(rep.Result); got != 1 {
 			t.Fatalf("reply %d carries counter %d, want 1 (re-execution leaked)", i, got)
 		}
 	}
 }
 
-func TestTentativeFinalize(t *testing.T) {
-	h := newHarness(t)
-	cl := message.ClientIDBase
-	h.ex.ExecBatch(1, 0, nil, true, []Entry{{Req: req(cl, 1, kvservice.Incr())}})
-	h.ex.Sync(func() {})
-	if rep := h.out.replies()[0]; !rep.Tentative {
-		t.Fatal("reply not marked tentative")
-	}
-	if cr := h.ex.Cache().Get(cl); !cr.Tentative {
-		t.Fatal("cache entry not tentative")
-	}
-	h.ex.Finalize([]Final{{Client: cl, Timestamp: 1}})
-	h.ex.Sync(func() {})
-	if cr := h.ex.Cache().Get(cl); cr.Tentative {
-		t.Fatal("finalize did not clear the tentative flag")
-	}
-}
-
 func TestCheckpointEventDigest(t *testing.T) {
 	h := newHarness(t)
 	cl := message.ClientIDBase
-	h.ex.ExecBatch(1, 0, nil, false, []Entry{{Req: req(cl, 1, kvservice.Incr())}})
-	h.ex.TakeCheckpoint(1, 7)
-	ev := <-h.events
-	if ev.Seq != 1 || ev.Epoch != 7 {
-		t.Fatalf("event = %+v", ev)
+	h.execBatch(false, Entry{Req: req(cl, 1, kvservice.Incr())})
+	d := h.ex.TakeCheckpoint(1)
+	// The reported digest must match what the manager + cache give.
+	snap, ok := h.mgr.Snapshot(1)
+	if !ok {
+		t.Fatal("snapshot 1 missing")
 	}
-	// The reported digest must match what the manager + cache would give.
-	var want crypto.Digest
-	h.ex.Sync(func() {
-		snap, ok := h.mgr.Snapshot(1)
-		if !ok {
-			t.Error("snapshot 1 missing")
-			return
-		}
-		want = checkpoint.CombinedDigest(snap.Root, snap.Extra)
-	})
-	if ev.Digest != want {
+	if d != checkpoint.CombinedDigest(snap.Root, snap.Extra) {
 		t.Fatal("reported digest disagrees with the manager snapshot")
 	}
-	if st := h.ex.Stats(); st.CkptTime <= 0 || st.PagesDigested == 0 {
-		t.Fatalf("checkpoint stats not tracked: %+v", st)
+	if !bytes.Equal(snap.Extra, h.ex.Cache().Marshal()) {
+		t.Fatal("the reply cache does not ride in the snapshot")
+	}
+	if h.mgr.PagesDigested == 0 {
+		t.Fatal("checkpoint digested no pages")
 	}
 }
 
@@ -162,41 +117,54 @@ func TestPrecomputedResultSkipsService(t *testing.T) {
 	h := newHarness(t)
 	cl := message.NodeID(2) // replica id: a recovery request
 	pre := []byte{9, 9, 9, 9, 9, 9, 9, 9}
-	h.ex.ExecBatch(1, 0, nil, false, []Entry{
-		{Req: req(cl, 1, kvservice.Incr()), Pre: pre, HasPre: true},
-	})
-	h.ex.Sync(func() {})
-	if !bytes.Equal(h.out.replies()[0].Result, pre) {
+	h.execBatch(false, Entry{Req: req(cl, 1, kvservice.Incr()), Pre: pre, HasPre: true})
+	if !bytes.Equal(h.reps[0].Result, pre) {
 		t.Fatal("precomputed result not used")
 	}
 	// The service op must not have run: counter unchanged.
 	h.ex.ExecReadOnly(req(message.ClientIDBase, 1, kvservice.Get()), 0)
-	h.ex.Sync(func() {})
-	reps := h.out.replies()
-	if got := kvservice.DecodeU64(reps[len(reps)-1].Result); got != 0 {
+	if got := kvservice.DecodeU64(h.reps[len(h.reps)-1].Result); got != 0 {
 		t.Fatalf("counter = %d after precomputed entry, want 0", got)
 	}
 }
 
-func TestDigestRepliesSlimming(t *testing.T) {
-	h := newHarness(t)
+func TestTentativeFinalize(t *testing.T) {
+	c := NewReplyCache()
 	cl := message.ClientIDBase
-	// Write a blob, then read it back with a non-self designated replier:
-	// the reply must be slimmed to a digest.
-	h.ex.ExecBatch(1, 0, nil, false, []Entry{
-		{Req: req(cl, 1, kvservice.WriteBlob(bytes.Repeat([]byte{7}, 256)))},
-	})
-	rr := req(cl, 2, kvservice.ReadBlob(256))
+	c.Set(cl, 1, []byte("one"), true)
+	if cr := c.Get(cl); !cr.Tentative {
+		t.Fatal("cache entry not tentative")
+	}
+	if rep := CachedReply(0, 0, cl, c.Get(cl)); !rep.Tentative {
+		t.Fatal("retransmitted reply lost the tentative flag")
+	}
+	c.MarkFinal(cl, 2) // a later timestamp is not this entry
+	if !c.Get(cl).Tentative {
+		t.Fatal("finalize for another timestamp cleared the flag")
+	}
+	c.MarkFinal(cl, 1)
+	if cr := c.Get(cl); cr.Tentative {
+		t.Fatal("finalize did not clear the tentative flag")
+	}
+}
+
+func TestDigestRepliesSlimming(t *testing.T) {
+	result := bytes.Repeat([]byte{7}, 256)
+	rr := req(message.ClientIDBase, 2, nil)
 	rr.Replier = 3
-	h.ex.ExecReadOnly(rr, 0)
-	h.ex.Sync(func() {})
-	reps := h.out.replies()
-	last := reps[len(reps)-1]
-	if last.HasResult || last.Result != nil {
+	rep := BuildReply(0, true, 32, 0, rr, result, false)
+	if rep.HasResult || rep.Result != nil {
 		t.Fatal("reply for non-designated replier not slimmed")
 	}
-	if last.ResultDigest.IsZero() {
+	if rep.ResultDigest.IsZero() {
 		t.Fatal("slimmed reply lacks result digest")
+	}
+	// The designated replier, and everyone for a small result, ship it full.
+	if rep := BuildReply(3, true, 32, 0, rr, result, false); !rep.HasResult {
+		t.Fatal("designated replier's reply slimmed")
+	}
+	if rep := BuildReply(0, true, 32, 0, rr, result[:32], false); !rep.HasResult {
+		t.Fatal("small result slimmed")
 	}
 }
 
@@ -218,10 +186,6 @@ func TestReplyCacheRoundTrip(t *testing.T) {
 	// Checkpointed replies install committed regardless of live flags.
 	if c2.Get(message.ClientIDBase + 5).Tentative {
 		t.Fatal("installed entry kept tentative flag")
-	}
-	marks := Marks(b)
-	if len(marks) != 2 || marks[0].Timestamp != 3 || marks[1].Timestamp != 9 {
-		t.Fatalf("marks = %+v", marks)
 	}
 	// Marshaling must be deterministic (it is checkpointed state).
 	if !bytes.Equal(b, c2.Marshal()) {

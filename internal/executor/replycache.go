@@ -19,12 +19,6 @@ type Cached struct {
 // checkpointed state (its serialization rides in every snapshot's Extra
 // blob), so its wire encoding must stay identical across configurations —
 // every replica in a group must produce the same checkpoint digest.
-//
-// Ownership follows execution: the serial path keeps it on the event loop,
-// the staged path hands it to the executor goroutine (the protocol core
-// then keeps only a timestamp mirror for exactly-once checks).
-//
-// bftlint:owner=executor
 type ReplyCache struct {
 	m map[message.NodeID]*Cached
 }
@@ -99,31 +93,6 @@ func (c *ReplyCache) Install(b []byte) {
 		c.m[id] = &Cached{Timestamp: ts, Result: result, Tentative: false}
 		off = next
 	}
-}
-
-// Mark is one (client, timestamp) pair of a marshaled cache — what the
-// protocol core's exactly-once mirror needs after a checkpoint restore.
-type Mark struct {
-	Client    message.NodeID
-	Timestamp uint64
-}
-
-// Marks decodes only the (client, timestamp) pairs of a marshaled cache.
-func Marks(b []byte) []Mark {
-	n, off, ok := cacheHeader(b)
-	if !ok {
-		return nil
-	}
-	out := make([]Mark, 0, n)
-	for i := 0; i < n; i++ {
-		id, ts, _, next, ok := cacheEntry(b, off)
-		if !ok {
-			break
-		}
-		out = append(out, Mark{Client: id, Timestamp: ts})
-		off = next
-	}
-	return out
 }
 
 func cacheHeader(b []byte) (n, off int, ok bool) {

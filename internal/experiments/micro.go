@@ -183,9 +183,6 @@ func E3Ablation(scale int) []*Table {
 		{"no batching", func(c *pbft.Config) { c.Opt.Batching = false }},
 		{"no separate req", func(c *pbft.Config) { c.Opt.SeparateRequests = false }},
 		{"no read-only opt", func(c *pbft.Config) { c.Opt.ReadOnly = false }},
-		{"serial ingress", func(c *pbft.Config) { c.Opt.Pipeline = false }},
-		{"serial egress", func(c *pbft.Config) { c.Opt.EgressPipeline = false }},
-		{"inline execution", func(c *pbft.Config) { c.Opt.ExecPipeline = false }},
 		{"signatures (BFT-PK)", func(c *pbft.Config) { c.Mode = pbft.ModePK }},
 	}
 	lat := &Table{
@@ -200,14 +197,6 @@ func E3Ablation(scale int) []*Table {
 	}
 	for _, v := range variants {
 		cfg := benchConfig(pbft.ModeMAC)
-		// Pin all three pipelines on before each mutation (the defaults
-		// adapt to core count): every row then differs from "full BFT" by
-		// exactly the named optimization, and the "serial ingress" /
-		// "serial egress" / "inline execution" rows are real ablations on
-		// any host.
-		cfg.Opt.Pipeline = true
-		cfg.Opt.EgressPipeline = true
-		cfg.Opt.ExecPipeline = true
 		v.mut(&cfg)
 		c := newKVCluster(4, cfg)
 		cl := c.NewClient()

@@ -2,7 +2,7 @@
 // contract of internal/transport's SendOwned/MulticastOwned: once a payload
 // slice is handed over, the transport (or its release callback) owns it, and
 // the sender must not read, append to, or re-seal it. Violations corrupt
-// in-flight datagrams under the egress pool's buffer recycling.
+// in-flight datagrams under pooled buffer recycling.
 //
 // Functions that take ownership declare it on the parameter by name:
 //

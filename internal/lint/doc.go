@@ -1,11 +1,12 @@
 // Package lint is bftlint: a go/analysis suite that machine-enforces the
 // concurrency, aliasing, and determinism invariants this replica's safety
 // argument rests on. PBFT (§4.2, §A) assumes protocol-state access is
-// serialized; after the three-stage pipeline split (ingress/egress worker
-// pools, stage-3 executor), that assumption lives in goroutine ownership
-// rules that used to exist only in comments and one runtime CAS — and that
-// have been violated in shipped code twice (the PR 2 qset-aliasing bug,
-// the PR 4 map-order nondeterminism). bftlint turns those rules into
+// serialized. Each replica runs its protocol and execution state on one
+// event-loop goroutine; the transport's receive goroutines and the WAL
+// writer run beside it. That assumption lives in goroutine ownership rules
+// that used to exist only in comments and one runtime CAS — and that have
+// been violated in shipped code twice (the PR 2 qset-aliasing bug, the
+// PR 4 map-order nondeterminism). bftlint turns those rules into
 // annotations the compiler toolchain checks on every build.
 //
 // # Running
@@ -33,7 +34,7 @@
 // One space may follow the "//". Anything after the first whitespace
 // inside the directive body is human commentary and is ignored, so
 //
-//	// bftlint:owner=executor   (sole mutator: the stage-3 goroutine)
+//	// bftlint:owner=worker   (sole user: the WAL writer goroutine)
 //
 // is a well-formed owner directive. Unknown domains are themselves
 // diagnosed; unknown keys are reserved for future analyzers and ignored.
@@ -119,9 +120,9 @@
 //   - bftowner: call-graph reachability from entrypoint-annotated
 //     functions (and runs=-spawned closures) to owner-annotated state;
 //     reports any touch of state the entry domain does not own. Facts
-//     propagate summaries across packages, so an executor entry point in
-//     internal/executor reaching event-loop state in internal/pbft through
-//     three calls is still caught. Interface dispatch is statically
+//     propagate summaries across packages, so a worker entry point in one
+//     package reaching event-loop state in internal/pbft through three
+//     calls is still caught. Interface dispatch is statically
 //     invisible; annotate the concrete implementations of cross-goroutine
 //     interfaces as entrypoints to close that hole.
 //   - bftalias: the PR 2 qset bug shape — caller-provided slice/map

@@ -1,9 +1,9 @@
 // Package owner implements bftowner, the ownership analyzer of the bftlint
 // suite: it machine-checks the replica's goroutine-ownership contract that
-// PRs 1-3 established and that the safety argument of Castro & Liskov
-// (§4.2) silently assumes — protocol state is event-loop-owned, execution
-// state (Region, checkpoint manager, reply cache) belongs to the stage-3
-// executor goroutine, and ingress/egress worker pools touch neither.
+// the safety argument of Castro & Liskov (§4.2) silently assumes —
+// protocol and execution state are event-loop-owned, and the goroutines
+// beside the event loop (transport receive handlers, the WAL writer) touch
+// only shared or their own worker-owned state.
 //
 // The rules are declared with the annotation grammar of internal/lint/doc.go:
 //

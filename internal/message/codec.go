@@ -53,8 +53,7 @@ func (w *writer) bytes(p []byte) {
 
 // AppendPayload appends m's body — the exact bytes MACs and signatures
 // cover, identical to Payload() — to dst and returns the extended slice.
-// It exists for the egress pipeline, whose workers encode into pooled wire
-// buffers instead of allocating per message.
+// The send path encodes the body once into the wire buffer with it.
 func AppendPayload(dst []byte, m Message) []byte {
 	w := &writer{b: dst}
 	m.(bodyCodec).marshalBody(w)
@@ -63,8 +62,8 @@ func AppendPayload(dst []byte, m Message) []byte {
 
 // AppendAuth appends an authentication trailer to dst and returns the
 // extended slice. AppendPayload followed by AppendAuth produces the same
-// bytes as Marshal, but with a caller-chosen trailer: egress workers seal
-// messages without writing into the (event-loop-owned) message object.
+// bytes as Marshal, but with a caller-chosen trailer: the send path seals
+// messages without writing into the message object.
 func AppendAuth(dst []byte, a *Auth) []byte {
 	w := &writer{b: dst}
 	a.marshal(w)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/egress"
-	"repro/internal/ingress"
 	"repro/internal/message"
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -30,13 +29,10 @@ type Client struct {
 	opt  Options
 	ks   *crypto.KeyStore
 	kp   crypto.KeyPair
+	seal sealer
 
 	trans transport.Transport
-	pipe  *ingress.Pipeline
-	// out, when non-nil (opt.EgressPipeline), seals and transmits requests
-	// off the invoking goroutine: the O(n) request authenticator (§5.2)
-	// moves to the pool, like the replicas' egress path.
-	out *egress.Pipeline
+	out   *egress.Sender // seals and sends on the invoking goroutine
 
 	// RetryTimeout is the base retransmission timeout; it backs off
 	// exponentially like the adaptive scheme of §5.2.
@@ -92,43 +88,9 @@ func NewClient(id message.NodeID, dir *Directory, net Network, mode Mode, opt Op
 	for i := 0; i < dir.N(); i++ {
 		c.ks.InstallInitial(uint32(i))
 	}
-	if opt.Pipeline {
-		// Same staged ingress as replicas — reply decode + MAC verification
-		// off the transport read loop, vote counting on the collector — but
-		// sized for a client's traffic: one point MAC per reply needs no
-		// pool, so default to a single worker unless callers ask for more
-		// (a GOMAXPROCS-wide pool per client would just multiply goroutines
-		// across the many-client benchmark harnesses).
-		workers := opt.PipelineWorkers
-		if workers <= 0 {
-			workers = 1
-		}
-		// A client awaits one reply certificate at a time, so a shallow
-		// queue suffices; benchmark harnesses park hundreds of clients per
-		// cluster and deep queues would dominate their footprint.
-		c.pipe = ingress.New(workers, 256,
-			ingress.VerifierFunc(c.verifyInbound),
-			func(m message.Message, ok bool, _ uint64) {
-				if rep, isRep := m.(*message.Reply); isRep && ok {
-					c.onReply(rep)
-				}
-			})
-		c.trans = net.Attach(id, func(p []byte) { c.pipe.Submit(p) })
-	} else {
-		c.trans = net.Attach(id, c.onRaw)
-	}
-	if opt.EgressPipeline {
-		// Staged egress, sized like the client's ingress: one request at a
-		// time needs no wide pool, so a single worker seals (vector of n
-		// MACs + marshal) off the invoking goroutine and a shallow queue
-		// bounds the footprint across many-client harnesses.
-		workers := opt.EgressWorkers
-		if workers <= 0 {
-			workers = 1
-		}
-		c.out = egress.New(workers, 256,
-			&sealer{mode: mode, n: dir.N(), ks: c.ks, kp: c.kp}, c.trans)
-	}
+	c.seal = sealer{mode: mode, n: dir.N(), ks: c.ks, kp: c.kp}
+	c.trans = net.Attach(id, c.onRaw)
+	c.out = egress.New(&c.seal, c.trans)
 	return c
 }
 
@@ -140,13 +102,8 @@ func (c *Client) Close() {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	if c.out != nil {
-		c.out.Close() // before the transport: the collector transmits through it
-	}
+	c.out.Close()
 	c.trans.Close()
-	if c.pipe != nil {
-		c.pipe.Close()
-	}
 }
 
 //bftlint:faultbound
@@ -277,52 +234,20 @@ func (c *Client) pickReplier() message.NodeID {
 }
 
 // sendRequest authenticates and transmits one request: multicast to every
-// replica when dst is NoNode, point-send otherwise. With the egress
-// pipeline on, sealing happens on the pool; requests always carry the full
-// vector authenticator (§5.2) — every replica must be able to check its MAC
-// when the primary inlines the request in a pre-prepare — so even the
-// point-send to the primary seals as a Vector job.
+// replica when dst is NoNode, point-send otherwise. Requests always carry
+// the full vector authenticator (§5.2) — every replica must be able to
+// check its MAC when the primary inlines the request in a pre-prepare — so
+// even the point-send to the primary seals with the group authenticator.
 func (c *Client) sendRequest(req *message.Request, dst message.NodeID) {
-	if c.out != nil {
-		if dst == message.NoNode {
-			c.out.Multicast(c.dir.ReplicaIDs(), req, egress.Vector)
-		} else {
-			c.out.Send(dst, req, egress.Vector)
-		}
-		return
-	}
-	c.authRequest(req)
 	if dst == message.NoNode {
-		c.trans.Multicast(c.dir.ReplicaIDs(), req.Marshal())
+		c.out.Multicast(c.dir.ReplicaIDs(), req, egress.Vector)
 	} else {
-		c.trans.Send(dst, req.Marshal())
+		c.out.Send(dst, req, egress.Vector)
 	}
 }
 
-func (c *Client) authRequest(req *message.Request) {
-	if c.mode == ModePK {
-		req.Auth = message.Auth{Kind: message.AuthSig, Sig: c.kp.Sign(req.Payload())}
-		return
-	}
-	req.Auth = message.Auth{
-		Kind:   message.AuthVector,
-		Vector: c.ks.MakeAuthenticator(c.dir.N(), req.Payload()),
-	}
-}
-
-// verifyInbound authenticates one decoded message for the ingress
-// pipeline: only replies addressed to this client can verify. The tag is
-// unused — clients never rotate their session keys mid-run, so a reply
-// verdict cannot go stale the way a replica's can.
-func (c *Client) verifyInbound(m message.Message) (bool, uint64) {
-	rep, ok := m.(*message.Reply)
-	if !ok || rep.Client != c.id {
-		return false, 0
-	}
-	return c.verifyReply(rep), 0
-}
-
-// onRaw handles replies from replicas (serial path).
+// onRaw decodes and authenticates one reply from a replica on the
+// transport's receive goroutine and folds it into the pending certificate.
 func (c *Client) onRaw(b []byte) {
 	m, err := message.Unmarshal(b)
 	if err != nil {

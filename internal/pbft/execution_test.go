@@ -1,9 +1,8 @@
 package pbft
 
-// Tests for the stage-3 executor integration: the serial (inline) execution
-// path that the staged suite no longer exercises, the §5.1.3 read-only
-// quiescence rule under asynchronous execution, and the tentative-
-// checkpoint rollback regression.
+// Tests for execution on the event loop: the metrics it publishes, the
+// §5.1.3 read-only quiescence rule, and the tentative-checkpoint rollback
+// regression.
 
 import (
 	"testing"
@@ -14,24 +13,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestInlineExecutionPath covers the ExecPipeline=false ablation row: the
-// serial execution path must still work end to end (the main suite forces
-// the staged path).
+// TestInlineExecutionPath runs requests end to end through execution on
+// the event loop: replies, the read-only path, and the checkpoint
+// manager's counters, with no executor queue to report on.
 func TestInlineExecutionPath(t *testing.T) {
-	cfg := testConfig()
-	cfg.Opt.ExecPipeline = false
-	c := newTestCluster(t, 4, cfg, nil)
-	cl := c.NewClient()
-	for i := 1; i <= 5; i++ {
-		res := mustInvoke(t, cl, kvservice.Incr(), false)
-		if got := kvservice.DecodeU64(res); got != uint64(i) {
-			t.Fatalf("incr %d returned %d", i, got)
-		}
-	}
-	res := mustInvoke(t, cl, kvservice.Get(), true)
-	if got := kvservice.DecodeU64(res); got != 5 {
-		t.Fatalf("read-only get returned %d, want 5", got)
-	}
+	c := newTestCluster(t, 4, testConfig(), nil)
+	incrGetRoundTrip(t, c.NewClient())
 	m := c.Replica(0).Metrics()
 	if m.ExecQueueDepth != 0 || m.ExecStalls != 0 {
 		t.Fatalf("inline path reported executor metrics: %+v", m)
@@ -41,9 +28,9 @@ func TestInlineExecutionPath(t *testing.T) {
 	}
 }
 
-// TestExecMetricsSurface pins the staged-path metrics plumbing: checkpoint
-// manager counters and digest latency must reach Replica.Metrics() without
-// touching the manager off the executor goroutine.
+// TestExecMetricsSurface pins the execution metrics plumbing: checkpoint
+// manager counters and digest latency must reach Replica.Metrics(), and the
+// deprecated stage counters read zero.
 func TestExecMetricsSurface(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointInterval = 4
@@ -67,6 +54,9 @@ func TestExecMetricsSurface(t *testing.T) {
 	if m.CkptDigestTime <= 0 {
 		t.Fatalf("checkpoint digest latency not tracked: %+v", m)
 	}
+	if m.OutboxDrops != 0 || m.ExecQueueDepth != 0 || m.ExecStalls != 0 {
+		t.Fatalf("deprecated stage counters are not zero: %+v", m)
+	}
 }
 
 // dropCommits suppresses every commit message (any view) so batches
@@ -80,12 +70,11 @@ func dropCommits(src, dst message.NodeID, p []byte) ([]byte, bool) {
 	return p, true
 }
 
-// TestReadOnlyWaitsForCommitUnderStagedExecutor is the §5.1.3 quiescence
-// rule with asynchronous execution: a queued read-only request whose
-// arrival mark covers a tentative (uncommitted) write must NOT be answered
-// — even though the executor has long since applied the write — until the
-// prefix commits.
-func TestReadOnlyWaitsForCommitUnderStagedExecutor(t *testing.T) {
+// TestReadOnlyWaitsForCommit is the §5.1.3 quiescence rule: a queued
+// read-only request whose arrival mark covers a tentative (uncommitted)
+// write must NOT be answered — even though the replica has long since
+// applied the write — until the prefix commits.
+func TestReadOnlyWaitsForCommit(t *testing.T) {
 	cfg := testConfig()
 	// Backups now treat a tentatively-executed batch whose commits never
 	// arrive as grounds for a view change (§2.3.5 liveness); this test
@@ -132,8 +121,8 @@ func TestReadOnlyWaitsForCommitUnderStagedExecutor(t *testing.T) {
 		return n > 0
 	})
 
-	// The executor applied the write long ago; the reply must still be
-	// withheld while the write is uncommitted.
+	// The write was applied long ago; the reply must still be withheld
+	// while it is uncommitted.
 	select {
 	case r := <-done:
 		t.Fatalf("read-only reply released before its prefix committed (res=%v err=%v)", r.res, r.err)
@@ -207,9 +196,7 @@ func TestTentativeCheckpointRollback(t *testing.T) {
 		var ok bool
 		r.do(func() {
 			_, pending := r.pendingCkpts[1]
-			var snap bool
-			r.execSync(func() { snap = r.ckpt.HasSnapshot(1) })
-			ok = r.lastExec == 1 && r.lastCommitted == 0 && pending && snap
+			ok = r.lastExec == 1 && r.lastCommitted == 0 && pending && r.ckpt.HasSnapshot(1)
 		})
 		return ok
 	})
@@ -241,9 +228,7 @@ func TestTentativeCheckpointRollback(t *testing.T) {
 			if _, ok := r.pendingCkpts[1]; ok {
 				t.Errorf("replica %d: rolled-back tentative checkpoint still pending", i)
 			}
-			var snap bool
-			r.execSync(func() { snap = r.ckpt.HasSnapshot(1) })
-			if snap {
+			if r.ckpt.HasSnapshot(1) {
 				t.Errorf("replica %d: manager snapshot at seq 1 survived the rollback", i)
 			}
 			if r.lastExec != 0 {

@@ -6,7 +6,7 @@ package pbft
 //
 //   - event counters (executions, view changes, drops, batching tallies,
 //     cumulative digest time) add,
-//   - point-in-time gauges of backlog (QueueDepth, ExecQueueDepth) add —
+//   - point-in-time gauges of backlog (QueueDepth) add —
 //     the rollup reports total queued work,
 //   - "last observed" durations (LastTransferTime, LastRecoveryTime) and
 //     the adaptive BatchTarget take the max — the rollup reports the

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/crypto"
+	"repro/internal/egress"
 	"repro/internal/executor"
 	"repro/internal/message"
 	"repro/internal/quorum"
@@ -29,14 +30,13 @@ func (r *Replica) onRequest(req *message.Request) {
 	}
 
 	// Exactly-once: replay the cached reply for the last executed timestamp,
-	// drop anything older (§2.3.3). On the staged path the check reads the
-	// event-loop mirror; the executor serves the actual retransmission.
-	if ts, ok := r.lastReplied(client); ok {
-		if req.Timestamp < ts {
+	// drop anything older (§2.3.3).
+	if cr := r.replyCache.Get(client); cr != nil {
+		if req.Timestamp < cr.Timestamp {
 			return
 		}
-		if req.Timestamp == ts {
-			r.resendCachedReply(client)
+		if req.Timestamp == cr.Timestamp {
+			r.exec.ResendReply(client, r.view)
 			return
 		}
 	}
@@ -91,16 +91,6 @@ func (r *Replica) enqueueRequest(req *message.Request) {
 // dequeueExecuted removes a request from the queue once it executes.
 func (r *Replica) dequeueExecuted(client message.NodeID, d crypto.Digest) {
 	r.queue.Remove(client, d)
-}
-
-func (r *Replica) resendCachedReply(client message.NodeID) {
-	if r.staged() {
-		r.xs.ex.ResendReply(client, r.view)
-		return
-	}
-	if cr := r.replyCache.Get(client); cr != nil {
-		r.sendTo(client, executor.CachedReply(r.id, r.view, client, cr))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -284,7 +274,7 @@ func (r *Replica) takeBatch(target int) (batch []*message.Request, size int) {
 			continue
 		}
 		// Skip anything already executed (duplicate arrivals).
-		if ts, ok := r.lastReplied(req.Client); ok && req.Timestamp <= ts {
+		if cr := r.replyCache.Get(req.Client); cr != nil && req.Timestamp <= cr.Timestamp {
 			continue
 		}
 		// Skip requests already assigned to a live slot (a retransmission
@@ -354,23 +344,17 @@ func (r *Replica) buildPrePrepare(v message.View, seq message.Seq, batch []*mess
 // receive a pre-prepare for the real batch, the other half one with a
 // different non-deterministic value (hence a different digest) for the same
 // sequence number. Safety demands that at most one of them ever commits.
-// It seals inline on the event loop even when the egress pipeline is on —
-// equivocation is adversarial traffic, and the honest pipeline's ordering
-// guarantees need not extend to it.
 func (r *Replica) issueConflicting(pp *message.PrePrepare, batch []*message.Request) {
 	alt := r.buildPrePrepare(pp.View, pp.Seq, batch)
 	alt.NonDet = append([]byte("evil-"), alt.NonDet...)
-	r.authMulticast(pp)
-	r.authMulticast(alt)
-	ids := r.replicaIDs()
-	for i, id := range ids {
+	for i, id := range r.replicaIDs() {
 		if id == r.id {
 			continue
 		}
 		if i%2 == 0 {
-			r.trans.Send(id, pp.Marshal())
+			r.out.Send(id, pp, egress.Vector)
 		} else {
-			r.trans.Send(id, alt.Marshal())
+			r.out.Send(id, alt, egress.Vector)
 		}
 	}
 	r.acceptPrePrepare(pp)
@@ -425,7 +409,7 @@ func (r *Replica) requestAuthOK(pp *message.PrePrepare, slot *vlog.Slot) bool {
 	if r.cfg.Mode == ModePK {
 		for i := range pp.Inline {
 			req := &pp.Inline[i]
-			if !r.verifySig(req) {
+			if !r.auth.verifySig(req) {
 				return false
 			}
 		}
@@ -434,13 +418,13 @@ func (r *Replica) requestAuthOK(pp *message.PrePrepare, slot *vlog.Slot) bool {
 	for i := range pp.Inline {
 		req := &pp.Inline[i]
 		if req.Recovery() {
-			if !r.verifySig(req) {
+			if !r.auth.verifySig(req) {
 				return false
 			}
 			continue
 		}
 		// Condition 1: the MAC for us in the request's authenticator.
-		r.ensurePeerKeys(req.Client)
+		ensurePeerKeys(r.ks, req.Client)
 		if req.Auth.Kind == message.AuthVector &&
 			r.ks.CheckAuthenticator(uint32(req.Client), req.Payload(), req.Auth.Vector) {
 			continue
@@ -690,22 +674,14 @@ func (r *Replica) batchRequests(pp *message.PrePrepare) []*message.Request {
 
 // execBatch executes every request of the batch at slot s against the
 // service state and replies to clients. tentative selects §5.1.2 semantics.
-// With the stage-3 executor, the state-machine half (Service.Execute,
-// reply construction, checkpoint digesting) is dispatched as ordered
-// commands and overlaps the protocol work for subsequent batches; all
-// protocol bookkeeping below stays on the event loop either way.
 func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 	pp := s.PrePrepare
 	seq := s.Seq
-	if r.staged() {
-		r.dispatchBatch(pp, seq, tentative)
-	} else {
-		for _, req := range r.batchRequests(pp) {
-			if req == nil {
-				continue // null request: no-op (§2.3.5)
-			}
-			r.execOne(req, pp.NonDet, tentative, seq)
+	for _, req := range r.batchRequests(pp) {
+		if req == nil {
+			continue // null request: no-op (§2.3.5)
 		}
+		r.execOne(req, pp.NonDet, tentative, seq)
 	}
 	r.lastExec = seq
 	r.execRecords[seq] = execRecord{digest: s.Digest, tentative: tentative}
@@ -722,20 +698,13 @@ func (r *Replica) execBatch(s *vlog.Slot, tentative bool) {
 	}
 
 	// Checkpoint right after (tentative) execution of a multiple of K; the
-	// checkpoint message goes out only once the batch commits (§5.1.2). On
-	// the staged path the digest comes back as an event (onCkptTaken),
-	// which broadcasts or defers by the commit state at report time.
+	// checkpoint message goes out only once the batch commits (§5.1.2).
 	if seq%r.cfg.CheckpointInterval == 0 {
-		if r.staged() {
-			r.metrics.CheckpointsTaken++
-			r.xs.ex.TakeCheckpoint(seq, r.xs.epoch)
+		d := r.takeCheckpointNow(seq)
+		if tentative {
+			r.pendingCkpts[seq] = d
 		} else {
-			d := r.takeCheckpointNow(seq)
-			if tentative {
-				r.pendingCkpts[seq] = d
-			} else {
-				r.broadcastCheckpoint(seq, d)
-			}
+			r.broadcastCheckpoint(seq, d)
 		}
 	}
 }
@@ -750,27 +719,10 @@ func (r *Replica) finalizeBatch(s *vlog.Slot) {
 	}
 	// The batch's replies are no longer tentative.
 	if s.PrePrepare != nil {
-		var finals []executor.Final
 		for _, req := range r.batchRequests(s.PrePrepare) {
-			if req == nil {
-				continue
-			}
-			if r.staged() {
-				if mark, ok := r.xs.repMarks[req.Client]; ok &&
-					mark.ts == req.Timestamp && mark.tentative {
-					mark.tentative = false
-					// Updates an existing reply-cache entry (guarded by the
-					// lookup above); no new key is ever inserted here.
-					r.xs.repMarks[req.Client] = mark // bftlint:allow=bfttaint
-					finals = append(finals, executor.Final{
-						Client: req.Client, Timestamp: req.Timestamp})
-				}
-			} else {
+			if req != nil {
 				r.replyCache.MarkFinal(req.Client, req.Timestamp)
 			}
-		}
-		if len(finals) > 0 {
-			r.xs.ex.Finalize(finals)
 		}
 	}
 	if d, ok := r.pendingCkpts[s.Seq]; ok {
@@ -779,41 +731,23 @@ func (r *Replica) finalizeBatch(s *vlog.Slot) {
 	}
 }
 
-// execOne applies a single request and sends the reply (serial path; the
-// staged twin is dispatchBatch + executor execOne).
+// execOne applies a single request and sends the reply.
 func (r *Replica) execOne(req *message.Request, nondet []byte, tentative bool, seq message.Seq) {
-	client := req.Client
 	d := req.Digest()
-	defer func() {
-		r.log.MarkRequestExecuted(d, seq)
-		r.dequeueExecuted(client, d)
-	}()
+	r.log.MarkRequestExecuted(d, seq)
+	r.dequeueExecuted(req.Client, d)
 
-	if cr := r.replyCache.Get(client); cr != nil && req.Timestamp <= cr.Timestamp {
-		if req.Timestamp == cr.Timestamp {
-			r.resendCachedReply(client)
-		}
+	ent := executor.Entry{Req: req}
+	if req.Recovery() {
+		ent.Pre, ent.HasPre = recoveryResult(seq), true
+	}
+	if !r.exec.Exec(ent, r.view, nondet, tentative) {
 		return
 	}
-
-	var result []byte
-	if req.Recovery() {
-		result = r.executeRecoveryRequest(req, seq)
-	} else {
-		result = r.service.Execute(client, req.Op, nondet)
-	}
 	r.metrics.RequestsExecuted++
-	r.replyTo(req, result, tentative)
-}
-
-// replyTo builds, caches, and sends the reply for an executed request.
-func (r *Replica) replyTo(req *message.Request, result []byte, tentative bool) {
-	// Cache the canonical (timestamp, result) for retransmissions; the
-	// protocol envelope (view, tentative) is rebuilt when resending so the
-	// checkpointed reply cache is identical across replicas.
-	r.replyCache.Set(req.Client, req.Timestamp, result, tentative)
-	r.sendTo(req.Client, executor.BuildReply(r.id, r.cfg.Opt.DigestReplies,
-		smallResultThreshold, r.view, req, result, tentative))
+	if req.Recovery() {
+		r.recoveryRequestEffects(req, seq)
+	}
 }
 
 // drainReadOnly answers queued read-only requests once the state reflects
@@ -837,17 +771,7 @@ func (r *Replica) drainReadOnly() {
 			r.roQueue = append(r.roQueue, e)
 			continue
 		}
-		req := e.req
-		if r.staged() {
-			// Eligibility was decided here on protocol state; command order
-			// guarantees the executor answers from a state reflecting
-			// exactly the dispatched prefix.
-			r.xs.ex.ExecReadOnly(req, r.view)
-			continue
-		}
-		result := r.service.Execute(req.Client, req.Op, nil)
-		r.sendTo(req.Client, executor.BuildReply(r.id, r.cfg.Opt.DigestReplies,
-			smallResultThreshold, r.view, req, result, false))
+		r.exec.ExecReadOnly(e.req, r.view)
 	}
 }
 
@@ -865,15 +789,23 @@ func ckptDigest(root crypto.Digest, extra []byte) crypto.Digest {
 	return checkpoint.CombinedDigest(root, extra)
 }
 
-// takeCheckpointNow snapshots the state and returns the checkpoint digest
-// (serial path; the staged path dispatches TakeCheckpoint to the executor).
+// takeCheckpointNow snapshots the state and returns the checkpoint digest.
 func (r *Replica) takeCheckpointNow(seq message.Seq) crypto.Digest {
 	t0 := time.Now()
-	extra := r.replyCache.Marshal()
-	snap := r.ckpt.Take(seq, extra)
+	d := r.exec.TakeCheckpoint(seq)
 	r.metrics.CheckpointsTaken++
 	r.metrics.CkptDigestTime += time.Since(t0)
-	return ckptDigest(snap.Root, snap.Extra)
+	return d
+}
+
+// ownCkptDigest returns this replica's digest for the checkpoint at seq,
+// if it holds that snapshot.
+func (r *Replica) ownCkptDigest(seq message.Seq) (crypto.Digest, bool) {
+	snap, ok := r.ckpt.Snapshot(seq)
+	if !ok {
+		return crypto.Digest{}, false
+	}
+	return ckptDigest(snap.Root, snap.Extra), true
 }
 
 func (r *Replica) broadcastCheckpoint(seq message.Seq, d crypto.Digest) {
@@ -912,9 +844,6 @@ func (r *Replica) checkCkptStable(seq message.Seq) {
 	if seq <= r.log.Low() {
 		return
 	}
-	// Our own digest for seq: from the manager on the serial path, from
-	// the digest mirror on the staged path (absent until the executor's
-	// report arrives; the report re-runs this check).
 	mine, ok := r.ownCkptDigest(seq)
 	if !ok {
 		return
@@ -938,7 +867,7 @@ func (r *Replica) makeStable(seq message.Seq) {
 		return
 	}
 	r.log.AdvanceLow(seq)
-	r.discardCkptsBefore(seq)
+	r.ckpt.DiscardBefore(seq)
 	for s := range r.ckptVotes {
 		if s <= seq {
 			delete(r.ckptVotes, s)
@@ -981,7 +910,7 @@ func (r *Replica) makeStable(seq message.Seq) {
 // cluster-wide and the transfer must be re-pointed — refusing it wedged the
 // fetcher on a Fetch nobody could ever serve.
 func (r *Replica) maybeStartTransfer(seq message.Seq) {
-	if seq <= r.latestCkptSeq() || seq <= r.lastExec {
+	if seq <= r.ckpt.Latest().Seq || seq <= r.lastExec {
 		return
 	}
 	if r.fetch.active && seq <= r.fetch.target {

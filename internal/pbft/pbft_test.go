@@ -13,18 +13,10 @@ import (
 )
 
 // testConfig returns a small, fast configuration for integration tests.
-// The ingress, egress, and executor pipelines are forced on (DefaultOptions
-// adapts them to the core count) so the whole protocol suite exercises all
-// three staged paths on any machine; ingress_test.go, egress_test.go, and
-// executor_test.go cover the serial paths explicitly.
 func testConfig() Config {
-	opt := DefaultOptions()
-	opt.Pipeline = true
-	opt.EgressPipeline = true
-	opt.ExecPipeline = true
 	return Config{
 		Mode:               ModeMAC,
-		Opt:                opt,
+		Opt:                DefaultOptions(),
 		CheckpointInterval: 16,
 		LogWindow:          32,
 		ViewChangeTimeout:  150 * time.Millisecond,
@@ -419,8 +411,12 @@ func TestOrderLogConsistentUnderConcurrency(t *testing.T) {
 	if len(logRes) != nClients*each*8 {
 		t.Fatalf("order log has %d bytes, want %d", len(logRes), nClients*each*8)
 	}
-	// Every replica's log must match the certified one.
+	// Every replica's log must match the certified one. A client returns
+	// after a quorum of replies, so a replica may still be executing the
+	// last appends: read each log only once its replica has reached the
+	// executed frontier.
 	for i := 0; i < 4; i++ {
+		waitExecFrontier(t, c, i)
 		var local []byte
 		c.Replica(i).InspectService(func(s statemachine.Service) {
 			local = s.Execute(message.ClientIDBase+9999, kvservice.ReadLog(), nil)
@@ -437,6 +433,9 @@ func TestMetricsProgress(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustInvoke(t, cl, kvservice.Incr(), false)
 	}
+	// A client returns on a reply certificate, which the primary need not
+	// be part of: wait for it to reach the executed frontier.
+	waitExecFrontier(t, c, 0)
 	m := c.Replica(0).Metrics()
 	if m.RequestsExecuted < 5 {
 		t.Fatalf("primary executed %d requests, want >= 5", m.RequestsExecuted)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/egress"
 	"repro/internal/message"
 	"repro/internal/quorum"
 	"repro/internal/vlog"
@@ -282,7 +283,7 @@ func (r *Replica) finishEstimation(sM message.Seq) {
 		Replier:   message.NoNode,
 		Op:        op[:],
 	}
-	r.authSigned(req)
+	req.Auth = r.seal.trailer(egress.Sign, message.NoNode, req.Payload())
 	r.rec.reqRaw = req.Marshal()
 	r.rec.reqSentAt = time.Now()
 	r.rec.replies = make(map[message.NodeID]uint64)
@@ -310,20 +311,10 @@ func (r *Replica) noteRecoveryRequest(req *message.Request) {
 	r.rec.lastRecoveryFrom[req.Client] = time.Now() // bftlint:allow=bfttaint
 }
 
-// executeRecoveryRequest runs when a recovery request commits and executes
-// (§4.3.2): every other replica refreshes its session keys, and the result
-// tells the recovering replica the request's sequence number. The staged
-// path splits it: the result is precomputed at dispatch (recoveryResult)
-// and the protocol effects run on the event loop after the batch command
-// ships (recoveryRequestEffects) — recovery requests never touch the
-// Region, so nothing of theirs belongs on the executor.
-func (r *Replica) executeRecoveryRequest(req *message.Request, seq message.Seq) []byte {
-	r.recoveryRequestEffects(req, seq)
-	return recoveryResult(seq)
-}
-
-// recoveryRequestEffects applies the protocol-side effects of an executed
-// recovery request.
+// recoveryRequestEffects applies the protocol effects of an executed
+// recovery request (§4.3.2): every other replica refreshes its session
+// keys; the recovering replica learns the sequence number the request
+// executed at.
 func (r *Replica) recoveryRequestEffects(req *message.Request, seq message.Seq) {
 	recoverer := req.Client
 	if recoverer != r.id {
@@ -409,14 +400,10 @@ func maxSeq(a, b message.Seq) message.Seq {
 }
 
 // startStateCheck verifies the local state against the partition tree and
-// repairs corruption via state transfer (§5.3.3). The digest sweep and the
-// page invalidation run on the executor (rendezvous) on the staged path;
-// the transfer itself is driven from the event loop as usual.
+// repairs corruption via state transfer (§5.3.3).
 func (r *Replica) startStateCheck() {
 	r.rec.phase = recChecking
-	var bad []int
-	r.execSync(func() { bad = r.ckpt.RecomputeFull() })
-	if len(bad) > 0 {
+	if bad := r.ckpt.RecomputeFull(); len(bad) > 0 {
 		// Pages whose content no longer matches their digest were corrupted
 		// behind the library's back. Fetch the latest stable checkpoint;
 		// the per-page comparison inside the transfer re-fetches exactly
@@ -425,11 +412,9 @@ func (r *Replica) startStateCheck() {
 		if d, ok := r.ownCkptDigest(low); ok {
 			// Invalidate the bad pages' live digests so the transfer diff
 			// sees them as stale.
-			r.execSync(func() {
-				for _, p := range bad {
-					r.ckpt.InstallPage(p, 0, r.region.Page(p))
-				}
-			})
+			for _, p := range bad {
+				r.ckpt.InstallPage(p, 0, r.region.Page(p))
+			}
 			r.startStateTransfer(low, d)
 		}
 	}

@@ -21,9 +21,8 @@ func waitUntil(t testing.TB, timeout time.Duration, what string, cond func() boo
 }
 
 // waitExecFrontier waits until replica i has executed everything any replica
-// has executed, then runs a barrier through its executor so the counters the
-// executor publishes cover every command dispatched so far. A client returns
-// after 2f+1 replies, so one replica may legitimately still be behind.
+// has executed. A client returns after 2f+1 replies, so one replica may
+// legitimately still be behind.
 func waitExecFrontier(t testing.TB, c *Cluster, i int) {
 	t.Helper()
 	var frontier message.Seq
@@ -33,7 +32,6 @@ func waitExecFrontier(t testing.TB, c *Cluster, i int) {
 	waitUntil(t, 10*time.Second, "the executed frontier", func() bool {
 		return c.Replica(i).LastExecuted() >= frontier
 	})
-	c.Replica(i).InspectService(func(statemachine.Service) {})
 }
 
 func counterAt(c *Cluster, i int) uint64 {

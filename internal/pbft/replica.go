@@ -10,7 +10,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/egress"
 	"repro/internal/executor"
-	"repro/internal/ingress"
 	"repro/internal/message"
 	"repro/internal/statemachine"
 	"repro/internal/transport"
@@ -43,17 +42,14 @@ type Metrics struct {
 	LastRecoveryTime    time.Duration
 	MsgsDroppedBadAuth  uint64
 	// InboxDrops counts datagrams lost to receive-queue overflow (the
-	// attach handler's non-blocking enqueue, or ingress pipeline
-	// saturation). It is maintained atomically outside the event loop.
+	// attach handler's non-blocking enqueue). It is maintained atomically
+	// outside the event loop.
 	InboxDrops uint64
-	// OutboxDrops counts sends lost to egress-pipeline saturation — the
-	// send-side twin of InboxDrops. A dropped send is simply never
-	// transmitted; retransmission recovers, like any datagram lost on the
-	// wire. Zero when the egress pipeline is off (serial sends never drop).
-	OutboxDrops uint64
-	// ExecQueueDepth samples the stage-3 executor's command-queue depth at
-	// snapshot time; ExecStalls counts event-loop dispatches that found
-	// the queue full and had to block. Both zero when ExecPipeline is off.
+	// OutboxDrops, ExecQueueDepth and ExecStalls always read 0: sends and
+	// execution run on the event loop, with no queue to overflow or stall.
+	//
+	// Deprecated: always 0; kept so existing readers still compile.
+	OutboxDrops    uint64
 	ExecQueueDepth uint64
 	ExecStalls     uint64
 	// PagesCopied / PagesDigested surface the checkpoint manager's
@@ -109,9 +105,8 @@ type queuedRO struct {
 // Replica is one member of the replica group. Unless a field says
 // otherwise, fields are owned by the event-loop goroutine; external access
 // goes through control thunks. The shared carve-outs are immutable
-// configuration, thread-safe crypto state, channels/atomics, and the
-// pipelines, which are exactly what the worker closures and the executor's
-// reply path touch.
+// configuration, thread-safe crypto state, and the channels and atomics the
+// transport's receive handler touches.
 //
 // bftlint:owner=eventloop
 // bftlint:longlived
@@ -126,22 +121,17 @@ type Replica struct {
 	ks   *crypto.KeyStore // bftlint:owner=shared (copy-on-write snapshots)
 	kp   crypto.KeyPair   // bftlint:owner=shared (immutable)
 	auth verifier         // bftlint:owner=shared (reads ks/dir only)
+	seal sealer           // bftlint:owner=shared (reads ks/kp only)
 
 	trans transport.Transport // bftlint:owner=shared (substrates are thread-safe)
-	// inbox carries raw datagrams on the serial path; inboxV carries
-	// decoded, pre-verified messages from the ingress pipeline. Exactly one
-	// of the two is allocated, selected by cfg.Opt.Pipeline (the nil one's
-	// event-loop case simply never fires).
-	inbox      chan []byte       // bftlint:owner=shared
-	inboxV     chan inbound      // bftlint:owner=shared
-	pipe       *ingress.Pipeline // bftlint:owner=shared
-	inboxDrops atomic.Uint64     // bftlint:owner=shared
-	// out, when non-nil (cfg.Opt.EgressPipeline), seals and transmits
-	// outbound messages off the event loop in send order.
-	out   *egress.Pipeline // bftlint:owner=shared
-	ctrl  chan func()      // bftlint:owner=shared
-	stopC chan struct{}    // bftlint:owner=shared
-	wg    sync.WaitGroup   // bftlint:owner=shared
+	out   *egress.Sender      // bftlint:owner=shared (seals on the caller's goroutine)
+	// inbox carries raw datagrams from the transport's receive handler to
+	// the event loop, which decodes and verifies each one (onRaw).
+	inbox      chan []byte    // bftlint:owner=shared
+	inboxDrops atomic.Uint64  // bftlint:owner=shared
+	ctrl       chan func()    // bftlint:owner=shared
+	stopC      chan struct{}  // bftlint:owner=shared
+	wg         sync.WaitGroup // bftlint:owner=shared
 
 	// Protocol state.
 	view   message.View
@@ -153,22 +143,14 @@ type Replica struct {
 	lastCommitted message.Seq // highest seq with all <= it committed+executed
 	execRecords   map[message.Seq]execRecord
 
-	// Execution state. On the serial path all four are event-loop-owned;
-	// with cfg.Opt.ExecPipeline the region, service (its Execute), the
-	// checkpoint manager, and the reply cache belong to the stage-3
-	// executor goroutine (r.xs), and the event loop touches them only
-	// inside execSync rendezvous. service's IsReadOnly / ProposeNonDet /
-	// CheckNonDet stay callable from the event loop (see the
-	// statemachine.Service contract).
-	region  *statemachine.Region // bftlint:owner=executor
-	service statemachine.Service // bftlint:owner=executor
-	ckpt    *checkpoint.Manager  // bftlint:owner=executor
-
-	replyCache *executor.ReplyCache // bftlint:owner=executor
-	// xs is the staged-executor state; nil when ExecPipeline is off. The
-	// pointer itself is shared (set once in NewReplica); ownership of the
-	// fields behind it is declared on execState.
-	xs *execState // bftlint:owner=shared
+	// Execution state: the service and its region, the checkpoint
+	// manager, and the reply cache, driven by exec. Execution,
+	// checkpointing and replies run inline on the event loop.
+	region     *statemachine.Region
+	service    statemachine.Service
+	ckpt       *checkpoint.Manager
+	replyCache *executor.ReplyCache
+	exec       *executor.Executor
 
 	// Checkpoint protocol.
 	ckptVotes    map[message.Seq]map[message.NodeID]crypto.Digest
@@ -228,15 +210,6 @@ type Replica struct {
 // internal/transport so every substrate shares it.
 type Network = transport.Network
 
-// inbound is one decoded message plus its authentication verdict and the
-// key generation the verdict was computed under, produced by the ingress
-// pipeline and consumed by the event loop.
-type inbound struct {
-	m   message.Message
-	ok  bool
-	gen uint64
-}
-
 // NewReplica constructs a replica. The service factory receives the region
 // the library allocated so the service keeps all state inside it.
 func NewReplica(cfg Config, dir *Directory, net Network,
@@ -270,6 +243,15 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 	r.region = statemachine.NewRegion(cfg.StateSize, cfg.PageSize)
 	r.service = svc(r.region)
 	r.ckpt = checkpoint.NewManager(r.region, cfg.Fanout)
+	r.exec = executor.New(executor.Config{
+		Self:          r.id,
+		DigestReplies: cfg.Opt.DigestReplies,
+		SmallResult:   smallResultThreshold,
+		Service:       r.service,
+		Ckpt:          r.ckpt,
+		Cache:         r.replyCache,
+		Out:           func(rep *message.Reply) { r.sendTo(rep.Client, rep) },
+	})
 
 	dir.Register(r.id, r.kp.Public)
 	for i := 0; i < cfg.N; i++ {
@@ -282,56 +264,17 @@ func NewReplica(cfg Config, dir *Directory, net Network,
 	r.initRecoveryState()
 
 	r.auth = verifier{mode: cfg.Mode, dir: dir, ks: r.ks}
-	if cfg.Opt.Pipeline {
-		// Staged ingress: the transport handler fans datagrams across the
-		// worker pool, which decodes and authenticates in parallel and
-		// re-sequences results into arrival order before the event loop.
-		r.inboxV = make(chan inbound, cfg.InboxCap)
-		r.pipe = ingress.New(cfg.Opt.PipelineWorkers, cfg.InboxCap,
-			ingress.VerifierFunc(r.auth.VerifyTagged),
-			func(m message.Message, ok bool, gen uint64) {
-				select {
-				case r.inboxV <- inbound{m, ok, gen}:
-				default: // inbox overflow models receive-buffer loss
-					r.inboxDrops.Add(1)
-				}
-			})
-		r.trans = net.Attach(r.id, func(p []byte) {
-			if r.cfg.Behavior == Crashed {
-				return // fail-stop: burn no worker cycles, like the serial path
-			}
-			if !r.pipe.Submit(p) {
-				r.inboxDrops.Add(1)
-			}
-		})
-	} else {
-		r.inbox = make(chan []byte, cfg.InboxCap)
-		r.trans = net.Attach(r.id, func(p []byte) {
-			select {
-			case r.inbox <- p:
-			default: // inbox overflow models receive-buffer loss
-				r.inboxDrops.Add(1)
-			}
-		})
-	}
-	if cfg.Opt.EgressPipeline {
-		// Staged egress: the event loop submits (recipients, message) jobs;
-		// workers marshal and authenticate against the same copy-on-write
-		// key-store snapshots the ingress workers read, and the collector
-		// hands wire buffers to the transport in send order.
-		r.out = egress.New(cfg.Opt.EgressWorkers, cfg.InboxCap,
-			&sealer{mode: cfg.Mode, n: cfg.N, ks: r.ks, kp: r.kp}, r.trans)
-	}
-	if cfg.Opt.ExecPipeline {
-		// Stage 3: execution, checkpoint digesting, and reply construction
-		// move onto the executor goroutine, which takes ownership of the
-		// region, service execution, checkpoint manager, and reply cache.
-		// Created last: its replies route through the egress pipeline or
-		// the transport above.
-		r.startExecutor()
-	}
-	// Durability last: replay needs the executor (state installs rendezvous
-	// through it) and the muted send paths above.
+	r.seal = sealer{mode: cfg.Mode, n: cfg.N, ks: r.ks, kp: r.kp}
+	r.inbox = make(chan []byte, cfg.InboxCap)
+	r.trans = net.Attach(r.id, func(p []byte) {
+		select {
+		case r.inbox <- p:
+		default: // inbox overflow models receive-buffer loss
+			r.inboxDrops.Add(1)
+		}
+	})
+	r.out = egress.New(&r.seal, r.trans)
+	// Durability last: replay runs with the send paths above muted.
 	r.initWAL()
 	return r
 }
@@ -361,21 +304,11 @@ func (r *Replica) Stop() {
 	}
 	close(r.stopC)
 	r.wg.Wait()
-	if r.xs != nil {
-		// After the event loop (no more dispatchers), before the egress
-		// pipeline and transport (in-flight replies route through them).
-		r.xs.ex.Close()
-	}
-	if r.out != nil {
-		r.out.Close() // before the transport: the collector transmits through it
-	}
 	if r.wal != nil {
 		r.wal.Close() // clean shutdown flushes; only Kill abandons the tail
 	}
+	r.out.Close()
 	r.trans.Close()
-	if r.pipe != nil {
-		r.pipe.Close()
-	}
 }
 
 // ID returns the replica id.
@@ -405,24 +338,10 @@ func (r *Replica) Metrics() Metrics {
 		if m.BatchesProposed > 0 {
 			m.BatchFillAvg = float64(m.RequestsProposed) / float64(m.BatchesProposed)
 		}
-		if r.xs == nil {
-			// Serial path: the manager is event-loop-owned, read directly.
-			m.PagesCopied = r.ckpt.PagesCopied
-			m.PagesDigested = r.ckpt.PagesDigested
-		}
+		m.PagesCopied = r.ckpt.PagesCopied
+		m.PagesDigested = r.ckpt.PagesDigested
 	})
 	m.InboxDrops = r.inboxDrops.Load()
-	if r.out != nil {
-		m.OutboxDrops = r.out.Stats().Rejected
-	}
-	if r.xs != nil {
-		s := r.xs.ex.Stats()
-		m.ExecQueueDepth = uint64(s.Depth)
-		m.ExecStalls = s.Stalls
-		m.PagesCopied = s.PagesCopied
-		m.PagesDigested = s.PagesDigested
-		m.CkptDigestTime = s.CkptTime
-	}
 	if r.wal != nil {
 		ws := r.wal.Stats()
 		m.WALAppends = ws.Appends
@@ -456,20 +375,20 @@ func (r *Replica) LowWaterMark() message.Seq {
 // StateDigest returns the live state root digest.
 func (r *Replica) StateDigest() crypto.Digest {
 	var d crypto.Digest
-	r.do(func() { r.execSync(func() { d = r.ckpt.RootDigest() }) })
+	r.do(func() { d = r.ckpt.RootDigest() })
 	return d
 }
 
-// InspectService calls fn with the replica's service instance while both
-// the event loop and the executor are quiesced (read-only use in tests).
+// InspectService calls fn with the replica's service instance on the
+// event loop (read-only use in tests).
 func (r *Replica) InspectService(fn func(statemachine.Service)) {
-	r.do(func() { r.execSync(func() { fn(r.service) }) })
+	r.do(func() { fn(r.service) })
 }
 
 // CorruptStatePage simulates an attacker flipping state bytes behind the
 // library's back; the state-checking pass of recovery must find it.
 func (r *Replica) CorruptStatePage(page int) {
-	r.do(func() { r.execSync(func() { r.ckpt.CorruptLivePage(page) }) })
+	r.do(func() { r.ckpt.CorruptLivePage(page) })
 }
 
 const tickInterval = 2 * time.Millisecond
@@ -487,35 +406,13 @@ func (r *Replica) run() {
 	}
 	ticker := time.NewTicker(tickInterval)
 	defer ticker.Stop()
-	// execEvC is the stage-3 executor's doorbell; nil (never ready) when
-	// the executor is off.
-	var execEvC chan struct{}
-	if r.xs != nil {
-		execEvC = r.xs.evC
-	}
 	for {
 		select {
-		case <-execEvC:
-			for _, ev := range r.takeExecEvents() {
-				r.onCkptTaken(ev)
-			}
 		case p := <-r.inbox:
 			if r.cfg.Behavior == Crashed {
 				continue
 			}
 			r.onRaw(p)
-		case im := <-r.inboxV:
-			if r.cfg.Behavior == Crashed {
-				continue
-			}
-			if im.ok && im.gen != r.ks.Generation() {
-				// Keys rotated after the worker verified (§4.3.2): the
-				// verdict may rest on a stolen pre-refresh key, so
-				// re-verify against the current generation. Refreshes are
-				// rare, so this almost never runs.
-				im.ok = r.verify(im.m)
-			}
-			r.onVerified(im.m, im.ok)
 		case <-r.batchTimer.C:
 			if r.cfg.Behavior == Crashed {
 				continue
@@ -554,22 +451,16 @@ func (r *Replica) onTick(now time.Time) {
 	r.recoveryTick(now)
 }
 
-// onRaw decodes, authenticates, and dispatches one datagram — the serial
-// ingress path, kept both as the pipeline-off baseline and for benchmarks.
+// onRaw decodes, authenticates, and dispatches one datagram on the event
+// loop. Verification reads the key snapshot current at dispatch, so a
+// message MACed under a key that a refresh has since replaced is rejected
+// (§4.3.2).
 func (r *Replica) onRaw(p []byte) {
 	m, err := message.Unmarshal(p)
 	if err != nil {
 		return
 	}
-	r.onVerified(m, r.verify(m))
-}
-
-// onVerified dispatches one decoded message given its authentication
-// verdict. It runs on the event loop whether the verdict came from the
-// inline verify (serial path) or an ingress worker (pipelined path), so all
-// protocol state stays single-threaded.
-func (r *Replica) onVerified(m message.Message, ok bool) {
-	if !ok {
+	if !r.auth.Verify(m) {
 		// A relayed view-change may carry a stale authenticator (its sender
 		// refreshed keys or the relay is second-hand); §3.2.4 still lets us
 		// accept it when its digest is pinned by a new-view certificate.
@@ -632,73 +523,11 @@ func (r *Replica) isPrimary() bool { return r.primary(r.view) == r.id }
 func (r *Replica) replicaIDs() []message.NodeID { return r.dir.ReplicaIDs() }
 
 // ---------------------------------------------------------------------------
-// Authentication
-// ---------------------------------------------------------------------------
-
-// signIfPK signs the message in BFT-PK mode; returns true if it handled it.
-//
-// bftlint:owner=shared (kp is immutable; mutates only the message)
-func (r *Replica) signIfPK(m message.Message) bool {
-	if r.cfg.Mode != ModePK {
-		return false
-	}
-	*m.AuthTrailer() = message.Auth{Kind: message.AuthSig, Sig: r.kp.Sign(m.Payload())}
-	return true
-}
-
-// authMulticast attaches a group authenticator (or a signature in PK mode).
-func (r *Replica) authMulticast(m message.Message) {
-	if r.signIfPK(m) {
-		return
-	}
-	*m.AuthTrailer() = message.Auth{
-		Kind:   message.AuthVector,
-		Vector: r.ks.MakeAuthenticator(r.n, m.Payload()),
-	}
-}
-
-// authPoint attaches a single MAC for dst (or a signature in PK mode).
-// Shared: the executor's reply path seals through it off the event loop.
-//
-// bftlint:owner=shared
-func (r *Replica) authPoint(m message.Message, dst message.NodeID) {
-	if r.signIfPK(m) {
-		return
-	}
-	r.ensurePeerKeys(dst)
-	*m.AuthTrailer() = message.Auth{
-		Kind: message.AuthMAC,
-		MAC:  r.ks.ComputePointMAC(uint32(dst), m.Payload()),
-	}
-}
-
-// authSigned always signs (new-key, recovery requests) via the simulated
-// secure co-processor.
-func (r *Replica) authSigned(m message.Message) {
-	*m.AuthTrailer() = message.Auth{Kind: message.AuthSig, Sig: r.kp.Sign(m.Payload())}
-}
-
-// ensurePeerKeys lazily installs the administrator-distributed initial keys
-// for a principal first seen now (clients appear dynamically).
-//
-// bftlint:owner=shared (key store is internally synchronized)
-func (r *Replica) ensurePeerKeys(peer message.NodeID) { r.auth.ensurePeerKeys(peer) }
-
-// verifySig checks a signature trailer against the directory.
-func (r *Replica) verifySig(m message.Message) bool { return r.auth.verifySig(m) }
-
-// verify authenticates an inbound message according to mode and type. The
-// logic lives in verifier so ingress workers share it.
-func (r *Replica) verify(m message.Message) bool { return r.auth.Verify(m) }
-
-// ---------------------------------------------------------------------------
 // Sending
 // ---------------------------------------------------------------------------
 
-// multicastReplicas authenticates and multicasts m to the whole group. On
-// the pipelined path the message body must not be mutated after this call
-// (egress workers read it concurrently); every caller builds or re-seals a
-// body that is immutable from here on.
+// multicastReplicas authenticates m with a group authenticator and
+// multicasts it to the whole group.
 //
 // bftlint:send
 func (r *Replica) multicastReplicas(m message.Message) {
@@ -706,15 +535,7 @@ func (r *Replica) multicastReplicas(m message.Message) {
 		return // WAL replay / kill: nothing may reach the network
 	}
 	r.behaviorMangle(m)
-	if r.out != nil {
-		// An outbox-overflow drop here loses the multicast like a dropped
-		// datagram; status retransmission recovers (§5.2) and the pipeline
-		// counts it in Metrics.OutboxDrops.
-		r.out.Multicast(r.replicaIDs(), m, egress.Vector)
-		return
-	}
-	r.authMulticast(m)
-	r.trans.Multicast(r.replicaIDs(), m.Marshal())
+	r.out.Multicast(r.replicaIDs(), m, egress.Vector)
 }
 
 // sendTo authenticates point-to-point and sends m to dst.
@@ -725,38 +546,27 @@ func (r *Replica) sendTo(dst message.NodeID, m message.Message) {
 		return
 	}
 	r.behaviorMangle(m)
-	if r.out != nil {
-		r.out.Send(dst, m, egress.Point)
-		return
-	}
-	r.authPoint(m, dst)
-	r.trans.Send(dst, m.Marshal())
+	r.out.Send(dst, m, egress.Point)
 }
 
-// sendRaw sends an already-authenticated message (retransmissions of stored
-// messages keep their original authenticators so relays work). The bytes
-// are captured on the event loop — the stored trailer is event-loop-owned —
-// and ride the egress pipeline as-is so send order is preserved.
+// sendRaw sends an already-authenticated message: relays and
+// retransmissions of messages other principals authored keep their
+// original authenticators.
 //
 // bftlint:send
 func (r *Replica) sendRaw(dst message.NodeID, m message.Message) {
 	if r.muted.Load() {
 		return
 	}
-	if r.out != nil {
-		r.out.SendRaw(dst, m.Marshal())
-		return
-	}
-	r.trans.Send(dst, m.Marshal())
+	r.out.SendRaw(dst, m.Marshal())
 }
 
 // resendOwn retransmits a message this replica authored, re-sealed with a
 // fresh group authenticator under the CURRENT keys, to a single peer (§5.2:
 // stored authenticators go stale across key refreshes, so each replica only
-// retransmits messages it originally sent, freshly authenticated). On the
-// pipelined path the trailer of a stored message object is never populated
-// — sealing happens in the wire buffer — so retransmission must always
-// re-seal rather than replay the object's trailer.
+// retransmits messages it originally sent, freshly authenticated). Sealing
+// never writes the trailer into the message object, so a stored message
+// has no trailer to replay: retransmission always re-seals.
 //
 // bftlint:send
 func (r *Replica) resendOwn(dst message.NodeID, m message.Message) {
@@ -764,12 +574,7 @@ func (r *Replica) resendOwn(dst message.NodeID, m message.Message) {
 		return
 	}
 	r.behaviorMangle(m)
-	if r.out != nil {
-		r.out.Send(dst, m, egress.Vector)
-		return
-	}
-	r.authMulticast(m)
-	r.trans.Send(dst, m.Marshal())
+	r.out.Send(dst, m, egress.Vector)
 }
 
 // multicastSigned signs m (via the simulated secure co-processor) and
@@ -780,28 +585,19 @@ func (r *Replica) multicastSigned(m message.Message) {
 	if r.muted.Load() {
 		return
 	}
-	if r.out != nil {
-		r.out.Multicast(r.replicaIDs(), m, egress.Sign)
-		return
-	}
-	r.authSigned(m)
-	r.trans.Multicast(r.replicaIDs(), m.Marshal())
+	r.out.Multicast(r.replicaIDs(), m, egress.Sign)
 }
 
-// multicastRawBytes ships pre-encoded bytes to the whole group, ordered
-// with the sealed traffic (recovery-request retransmission keeps the exact
-// signed encoding, §4.3.2).
+// multicastRawBytes ships pre-encoded bytes to the whole group
+// (recovery-request retransmission keeps the exact signed encoding,
+// §4.3.2).
 //
 // bftlint:send
 func (r *Replica) multicastRawBytes(raw []byte) {
 	if r.muted.Load() {
 		return
 	}
-	if r.out != nil {
-		r.out.MulticastRaw(r.replicaIDs(), raw)
-		return
-	}
-	r.trans.Multicast(r.replicaIDs(), raw)
+	r.out.MulticastRaw(r.replicaIDs(), raw)
 }
 
 // behaviorMangle applies fault-injection personalities to outgoing traffic.
@@ -820,8 +616,7 @@ func (r *Replica) behaviorMangle(m message.Message) {
 		if rep, ok := m.(*message.Reply); ok {
 			if len(rep.Result) > 0 {
 				// Flip a copy: Result aliases the reply cache's backing
-				// array, which the event loop reuses for retransmissions
-				// while an egress worker may still be encoding this reply.
+				// array, which later retransmissions reuse.
 				rep.Result = append([]byte(nil), rep.Result...)
 				rep.Result[0] ^= 0xFF
 			}

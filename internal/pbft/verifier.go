@@ -5,12 +5,9 @@ import (
 	"repro/internal/message"
 )
 
-// verifier is the state-free authentication core shared by the replica
-// event loop (serial path) and the ingress pipeline workers (parallel
-// path). It owns no protocol state: it reads the directory (RW-locked),
-// the key store (copy-on-write snapshots), and the immutable mode, so
-// Verify is safe to call from any goroutine concurrently with key
-// refresh and client registration.
+// verifier is the authentication core of the receive path. It owns no
+// protocol state: it reads the directory, the key store, and the immutable
+// mode.
 type verifier struct {
 	mode Mode
 	dir  *Directory
@@ -19,9 +16,9 @@ type verifier struct {
 
 // ensurePeerKeys lazily installs the administrator-distributed initial keys
 // for a principal first seen now (clients appear dynamically).
-func (v *verifier) ensurePeerKeys(peer message.NodeID) {
-	if k, _ := v.ks.OutKey(uint32(peer)); k == nil {
-		v.ks.InstallInitial(uint32(peer))
+func ensurePeerKeys(ks *crypto.KeyStore, peer message.NodeID) {
+	if k, _ := ks.OutKey(uint32(peer)); k == nil {
+		ks.InstallInitial(uint32(peer))
 	}
 }
 
@@ -38,12 +35,7 @@ func (v *verifier) verifySig(m message.Message) bool {
 	return crypto.Verify(pub, m.Payload(), a.Sig)
 }
 
-// Verify authenticates an inbound message according to mode and type. It
-// implements ingress.Verifier. Annotated as a worker entry point because
-// ingress workers reach it through interface dispatch, which the bftowner
-// call graph cannot see; the annotation closes that hole.
-//
-// bftlint:entrypoint=worker
+// Verify authenticates an inbound message according to mode and type.
 func (v *verifier) Verify(m message.Message) bool {
 	sender := m.Sender()
 	a := m.AuthTrailer()
@@ -66,27 +58,12 @@ func (v *verifier) Verify(m message.Message) bool {
 
 	switch a.Kind {
 	case message.AuthVector:
-		v.ensurePeerKeys(sender)
+		ensurePeerKeys(v.ks, sender)
 		return v.ks.CheckAuthenticator(uint32(sender), m.Payload(), a.Vector)
 	case message.AuthMAC:
-		v.ensurePeerKeys(sender)
+		ensurePeerKeys(v.ks, sender)
 		return v.ks.CheckPointMAC(uint32(sender), m.Payload(), a.MAC)
 	default:
 		return false
 	}
-}
-
-// VerifyTagged verifies m and stamps the verdict with the key generation
-// it was computed under (loaded before the snapshot, so a rotation racing
-// the verification is always detected as a generation change). It
-// implements ingress.Verifier for pipeline workers; the event loop
-// compares the tag against the current generation on dispatch and
-// re-verifies when keys rotated in between — the §4.3.2 stale-key rule.
-// Nothing in the trailer can forge its way past this: the tag is computed
-// locally, never from attacker-controlled fields.
-//
-// bftlint:entrypoint=worker
-func (v *verifier) VerifyTagged(m message.Message) (bool, uint64) {
-	gen := v.ks.Generation()
-	return v.Verify(m), gen
 }

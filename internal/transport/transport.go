@@ -7,10 +7,9 @@
 // datagram service.
 //
 // A Network hands each principal a Transport (its sending half) and invokes
-// its Handler serially, in arrival order, for each inbound datagram. The
-// serial-delivery contract is what lets the ingress pipeline
-// (internal/ingress) preserve per-sender ordering while fanning decode and
-// authentication across a worker pool.
+// its Handler serially, in arrival order, for each inbound datagram, so a
+// replica's event loop sees each sender's messages in the order they
+// arrived.
 package transport
 
 import "repro/internal/message"
@@ -37,8 +36,9 @@ type Transport interface {
 	Close()
 }
 
-// Multicaster is an optional Transport extension for the egress pipeline:
-// a batched, ownership-transferring send surface. A substrate that
+// Multicaster is an optional Transport extension: a batched,
+// ownership-transferring send surface for senders that recycle pooled wire
+// buffers. A substrate that
 // implements it can coalesce the n per-replica datagrams of one multicast
 // into a single submission (one lock round in the simulator, one tight
 // syscall loop over one buffer in udpnet) instead of n independent sends.

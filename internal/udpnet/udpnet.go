@@ -169,7 +169,7 @@ func (ep *Endpoint) Multicast(dsts []message.NodeID, payload []byte) {
 // MulticastOwned implements transport.Multicaster: the n datagrams of one
 // multicast leave in one tight loop over a single buffer, and the buffer is
 // released as soon as the kernel has copied the last datagram out (UDP
-// writes are synchronous copies), so the egress pipeline can recycle it.
+// writes are synchronous copies), so the sender can recycle it.
 func (ep *Endpoint) MulticastOwned(dsts []message.NodeID, payload []byte, release func([]byte)) {
 	ep.Multicast(dsts, payload)
 	if release != nil {

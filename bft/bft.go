@@ -202,7 +202,8 @@ type Options struct {
 	// it is sent, closing even the async window below at a large
 	// throughput cost. Default off: records ride group commit, where the
 	// log goroutine coalesces appends and fsyncs once per batch. SyncWait
-	// is the coalescing window (default 1ms; negative syncs whatever has
+	// is the minimum interval between group commits (default 25ms; an
+	// append to an idle log syncs at once; negative syncs whatever has
 	// accumulated without waiting). Checkpoint votes and view changes
 	// always carry a durability barrier regardless of these knobs.
 	SyncEvery bool

@@ -268,9 +268,6 @@ func (m *Manager) Snapshot(seq message.Seq) (*Snapshot, bool) {
 // Latest returns the most recent snapshot.
 func (m *Manager) Latest() *Snapshot { return m.snaps[len(m.snaps)-1] }
 
-// Oldest returns the oldest retained snapshot.
-func (m *Manager) Oldest() *Snapshot { return m.snaps[0] }
-
 // DiscardBefore drops snapshots with Seq < seq (log truncation, §2.3.4).
 // The newest snapshot is always retained — a replica that learned of a
 // stable checkpoint it has not reached yet still needs a base for state

@@ -67,9 +67,6 @@ type KeyStore struct {
 	self uint32
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[keySnapshot]
-	// gen counts published snapshots, so an observer can tell whether keys
-	// changed between two points without comparing key material.
-	gen atomic.Uint64
 }
 
 // NewKeyStore creates an empty key store for principal self.
@@ -90,13 +87,7 @@ func (ks *KeyStore) mutate(fn func(*keySnapshot) bool) {
 		return
 	}
 	ks.snap.Store(s)
-	ks.gen.Add(1)
 }
-
-// Generation returns the current key generation. It changes exactly when a
-// mutation publishes a new snapshot: a reader that saw the same value
-// before and after an operation worked against the same keys throughout.
-func (ks *KeyStore) Generation() uint64 { return ks.gen.Load() }
 
 // InstallInitial seeds the pairwise keys between self and peer
 // deterministically, as if an offline administrator had distributed them.

@@ -86,32 +86,6 @@ func TestKeyStoreConcurrentVerifyDuringRefresh(t *testing.T) {
 	}
 }
 
-// TestKeyStoreGeneration pins the generation contract: it changes on every
-// real key mutation and stays put on redundant installs, so an unchanged
-// generation proves no key rotated in between.
-func TestKeyStoreGeneration(t *testing.T) {
-	ks := NewKeyStore(0)
-	g0 := ks.Generation()
-	ks.InstallInitial(1)
-	g1 := ks.Generation()
-	if g1 == g0 {
-		t.Fatal("first install did not advance the generation")
-	}
-	ks.InstallInitial(1) // redundant: no new generation
-	if ks.Generation() != g1 {
-		t.Fatal("redundant InstallInitial advanced the generation")
-	}
-	ks.RefreshIn(1, 1, 7)
-	g2 := ks.Generation()
-	if g2 == g1 {
-		t.Fatal("RefreshIn did not advance the generation")
-	}
-	ks.SetOut(1, DeriveKey("x", 1), 1)
-	if ks.Generation() == g2 {
-		t.Fatal("SetOut did not advance the generation")
-	}
-}
-
 // TestKeyStoreInstallInitialIdempotent verifies lazy installs cannot
 // clobber refreshed keys (a lazy install for a first-seen peer may follow
 // a RefreshIn).

@@ -44,7 +44,7 @@
 // Keys and where they may appear:
 //
 //	owner=DOMAIN        type, struct field, or method. The state is owned
-//	                    by DOMAIN (eventloop | executor | worker), or is
+//	                    by DOMAIN (eventloop | worker), or is
 //	                    explicitly safe for cross-domain use (shared:
 //	                    channels, atomics, immutable-after-construction
 //	                    config). A field directive overrides its struct's
@@ -56,17 +56,14 @@
 //	                    its internal accesses do not propagate to callers,
 //	                    so the annotation is a claim to audit, like any
 //	                    suppression.
-//	entrypoint=DOMAIN   function. Its body executes in DOMAIN (a worker
-//	                    pool callback, the executor loop). The bftowner
-//	                    analyzer checks everything statically reachable
-//	                    from it against the ownership rules.
-//	rendezvous          function or interface method. Closures passed to
-//	                    it run serialized against every owner (Sync,
-//	                    execSync); their bodies are exempt.
+//	entrypoint=DOMAIN   function. Its body executes in DOMAIN (eventloop |
+//	                    worker; the WAL writer loop is a worker). The
+//	                    bftowner analyzer checks everything statically
+//	                    reachable from it against the ownership rules.
 //	runs=DOMAIN         function or interface method. Function-literal
 //	                    arguments passed to it execute in DOMAIN
-//	                    (transport attach handlers, pool sinks); their
-//	                    bodies are checked under that domain.
+//	                    (transport attach handlers); their bodies are
+//	                    checked under that domain.
 //	longlived           type. Values outlive the calls that populate
 //	                    them; bftalias flags caller-provided slices/maps
 //	                    stored into them without a deep copy.
@@ -109,7 +106,7 @@
 //
 //	allow=NAME[,NAME]   suppress the named analyzers (bftowner, bftalias,
 //	                    bftbufown, bftrand, bfttime, bftmaporder, bftwire,
-//	                    bftquorum, bfttaint, bftsync) here.
+//	                    bftquorum, bfttaint) here.
 //	deepcopy            shorthand for allow=bftalias: "this store is a
 //	                    deep copy / the alias is intended".
 //	reuse-ok            shorthand for allow=bftbufown: "this reuse is
@@ -161,12 +158,6 @@
 //     bounds check (a comparison on the same expression, a min/max clamp,
 //     or a modulo) is a finding. Calls are sanitizing boundaries unless
 //     annotated bftlint:untrusted.
-//   - bftsync: rendezvous self-deadlock. Code running on the executor
-//     goroutine (entrypoint=executor, runs=executor) must never reach a
-//     bftlint:rendezvous call, and a closure passed to a rendezvous must
-//     not rendezvous again — the Sync-inside-Sync shape the runtime CAS
-//     panic catches only when it fires, reported at build time with the
-//     witness call chain.
 //
 // All analyzers skip _test.go files: tests exercise nondeterminism and
 // aliasing on purpose, and `go vet` analyzes test variants of every

@@ -3,28 +3,27 @@
 // the safety argument of Castro & Liskov (§4.2) silently assumes —
 // protocol and execution state are event-loop-owned, and the goroutines
 // beside the event loop (transport receive handlers, the WAL writer) touch
-// only shared or their own worker-owned state.
+// only shared or their own worker-owned state. No rendezvous exists: the
+// only way into event-loop state from another goroutine is a message to
+// the loop.
 //
 // The rules are declared with the annotation grammar of internal/lint/doc.go:
 //
 //   - `bftlint:owner=<domain>` on a struct type or field marks state owned
-//     by one goroutine domain (eventloop, executor) or explicitly safe for
+//     by one goroutine domain (eventloop, worker) or explicitly safe for
 //     cross-domain use (shared: channels, atomics, immutable config).
 //   - `bftlint:entrypoint=<domain>` on a function declares that its body
-//     runs in that domain (a worker-pool callback, the executor loop).
-//   - `bftlint:rendezvous` on a function declares that closures passed to
-//     it run with mutual exclusion against every owner (Sync/execSync), so
-//     their bodies are exempt.
+//     runs in that domain (a transport receive handler, the WAL writer).
 //   - `bftlint:runs=<domain>` on a function declares that function-literal
-//     arguments execute in that domain (transport attach handlers, pool
-//     sinks); their bodies are checked under it.
+//     arguments execute in that domain (transport attach handlers); their
+//     bodies are checked under it.
 //
 // The analyzer computes, per function, the set of owned state reachable
 // through static calls (propagated across packages via facts) and reports
 // any entrypoint whose domain is not allowed to touch what it reaches.
 // Dynamic dispatch through interfaces is invisible to the call graph;
 // closing that hole is exactly what entrypoint annotations on the concrete
-// implementations (sealer.Seal, verifier.Verify) are for.
+// implementations are for.
 package owner
 
 import (
@@ -49,24 +48,16 @@ const Name = "bftowner"
 // Analyzer is the bftowner analysis.
 var Analyzer = &analysis.Analyzer{
 	Name:     Name,
-	Doc:      "check goroutine-ownership annotations: worker/executor entry points must not reach state owned by another domain outside a rendezvous",
+	Doc:      "check goroutine-ownership annotations: entry points must not reach state owned by another goroutine domain",
 	Run:      run,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes: []analysis.Fact{
-		(*OwnerFact)(nil), (*CtxFact)(nil), (*RendFact)(nil),
-		(*RunsFact)(nil), (*AccessFact)(nil),
+		(*OwnerFact)(nil), (*RunsFact)(nil), (*AccessFact)(nil),
 	},
 }
 
 // OwnerFact marks a type or struct field as owned by a goroutine domain.
 type OwnerFact struct{ Domain string }
-
-// CtxFact marks a function as an entry point executing in a domain.
-type CtxFact struct{ Domain string }
-
-// RendFact marks a function as a rendezvous: closures passed to it run
-// serialized with every owner.
-type RendFact struct{}
 
 // RunsFact marks a function whose function-literal arguments execute in
 // Domain.
@@ -84,26 +75,22 @@ type Access struct {
 type AccessFact struct{ Accesses []Access }
 
 func (*OwnerFact) AFact()  {}
-func (*CtxFact) AFact()    {}
-func (*RendFact) AFact()   {}
 func (*RunsFact) AFact()   {}
 func (*AccessFact) AFact() {}
 
 func (f *OwnerFact) String() string  { return "owner=" + f.Domain }
-func (f *CtxFact) String() string    { return "entrypoint=" + f.Domain }
-func (f *RendFact) String() string   { return "rendezvous" }
 func (f *RunsFact) String() string   { return "runs=" + f.Domain }
 func (f *AccessFact) String() string { return fmt.Sprintf("accesses(%d)", len(f.Accesses)) }
 
 // ownerDomains are the values owner= accepts; ctxDomains the execution
 // domains entrypoint=/runs= accept.
 var (
-	ownerDomains = map[string]bool{"eventloop": true, "executor": true, "worker": true, "shared": true}
-	ctxDomains   = map[string]bool{"eventloop": true, "executor": true, "worker": true}
+	ownerDomains = map[string]bool{"eventloop": true, "worker": true, "shared": true}
+	ctxDomains   = map[string]bool{"eventloop": true, "worker": true}
 )
 
 // allowed reports whether code running in domain ctx may touch state owned
-// by owner. A domain owns its own state; everything else needs a rendezvous.
+// by owner: a domain touches its own state and no other.
 func allowed(ctx, owner string) bool { return ctx == owner }
 
 // maxAccesses caps per-function summaries so facts stay small.
@@ -114,7 +101,6 @@ type ctx struct {
 
 	localOwner map[types.Object]string // annotated types and fields, this package
 	localCtx   map[*types.Func]string
-	localRend  map[*types.Func]bool
 	localRuns  map[*types.Func]string
 
 	decls   map[*types.Func]*ast.FuncDecl
@@ -145,7 +131,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass:       pass,
 		localOwner: make(map[types.Object]string),
 		localCtx:   make(map[*types.Func]string),
-		localRend:  make(map[*types.Func]bool),
 		localRuns:  make(map[*types.Func]string),
 		decls:      make(map[*types.Func]*ast.FuncDecl),
 		sums:       make(map[*types.Func]*summary),
@@ -193,7 +178,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	// Check entrypoints.
 	for _, fn := range fns {
-		domain := c.ctxDomainOf(fn)
+		domain := c.localCtx[fn]
 		if domain == "" {
 			continue
 		}
@@ -254,7 +239,7 @@ func (c *ctx) report(pos token.Pos, domain, label string, acc Access) {
 		via = " via " + strings.Join(acc.Chain, " -> ")
 	}
 	c.pass.Reportf(pos,
-		"%s-context %s reaches %s-owned %s%s; only the %s goroutine may touch it outside a bftlint:rendezvous (Sync/execSync)",
+		"%s-context %s reaches %s-owned %s%s; only the %s goroutine may touch it",
 		domain, label, acc.Owner, acc.Desc, via, acc.Owner)
 }
 
@@ -286,7 +271,7 @@ func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Inf
 	ds := annot.TypeDirectives(gd, ts)
 	structDomain, hasStruct := annot.Value(ds, "owner")
 	if hasStruct && !ownerDomains[structDomain] {
-		c.pass.Reportf(ts.Pos(), "bftlint: unknown owner domain %q (want eventloop, executor, worker, or shared)", structDomain)
+		c.pass.Reportf(ts.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", structDomain)
 		hasStruct = false
 	}
 	tn, _ := info.Defs[ts.Name].(*types.TypeName)
@@ -301,7 +286,7 @@ func (c *ctx) collectTypeSpec(gd *ast.GenDecl, ts *ast.TypeSpec, info *types.Inf
 		fds := annot.FieldDirectives(field)
 		domain, has := annot.Value(fds, "owner")
 		if has && !ownerDomains[domain] {
-			c.pass.Reportf(field.Pos(), "bftlint: unknown owner domain %q (want eventloop, executor, worker, or shared)", domain)
+			c.pass.Reportf(field.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", domain)
 			has = false
 		}
 		if !has {
@@ -336,36 +321,30 @@ func (c *ctx) collectFuncDecl(fd *ast.FuncDecl, info *types.Info) {
 		// declares the method safe from any domain (it touches only shared
 		// fields), carving it out of an owned type.
 		if !ownerDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown owner domain %q (want eventloop, executor, worker, or shared)", d)
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown owner domain %q (want eventloop, worker, or shared)", d)
 		} else {
 			c.localOwner[fn] = d
 		}
 	}
 	if d, has := annot.Value(ds, "entrypoint"); has {
 		if !ctxDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown entrypoint domain %q (want eventloop, executor, or worker)", d)
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown entrypoint domain %q (want eventloop or worker)", d)
 		} else {
 			c.localCtx[fn] = d
 		}
 	}
-	if annot.Has(ds, "rendezvous") {
-		c.localRend[fn] = true
-	}
 	if d, has := annot.Value(ds, "runs"); has {
 		if !ctxDomains[d] {
-			c.pass.Reportf(fd.Pos(), "bftlint: unknown runs domain %q (want eventloop, executor, or worker)", d)
+			c.pass.Reportf(fd.Pos(), "bftlint: unknown runs domain %q (want eventloop or worker)", d)
 		} else {
 			c.localRuns[fn] = d
 		}
 	}
 }
 
-// collectInterfaceMethods annotates interface methods: directives on an
-// interface's method fields are gathered when the interface TypeSpec is
-// visited (method fields look like struct fields in the AST).
-// (Handled by collectTypeSpec? No — interface methods live in
-// *ast.InterfaceType. Collected here via exportAnnotationFacts walking
-// files again.)
+// collectInterfaceAnnotations records runs= directives on interface
+// methods, which live in *ast.InterfaceType method fields rather than in a
+// FuncDecl.
 func (c *ctx) collectInterfaceAnnotations() {
 	info := c.pass.TypesInfo
 	for _, f := range c.pass.Files {
@@ -384,9 +363,6 @@ func (c *ctx) collectInterfaceAnnotations() {
 					if !ok {
 						continue
 					}
-					if annot.Has(ds, "rendezvous") {
-						c.localRend[fn] = true
-					}
 					if d, has := annot.Value(ds, "runs"); has && ctxDomains[d] {
 						c.localRuns[fn] = d
 					}
@@ -402,12 +378,6 @@ func (c *ctx) exportAnnotationFacts() {
 	for obj, domain := range c.localOwner {
 		obj := obj
 		c.pass.ExportObjectFact(obj, &OwnerFact{Domain: domain})
-	}
-	for fn, domain := range c.localCtx {
-		c.pass.ExportObjectFact(fn, &CtxFact{Domain: domain})
-	}
-	for fn := range c.localRend {
-		c.pass.ExportObjectFact(fn, &RendFact{})
 	}
 	for fn, domain := range c.localRuns {
 		c.pass.ExportObjectFact(fn, &RunsFact{Domain: domain})
@@ -433,24 +403,6 @@ func (c *ctx) ownerOf(obj types.Object) string {
 		return f.Domain
 	}
 	return ""
-}
-
-func (c *ctx) ctxDomainOf(fn *types.Func) string {
-	if d, ok := c.localCtx[fn]; ok {
-		return d
-	}
-	return ""
-}
-
-func (c *ctx) isRend(fn *types.Func) bool {
-	if c.localRend[fn] {
-		return true
-	}
-	if fn.Pkg() == nil || fn.Pkg() == c.pass.Pkg {
-		return false
-	}
-	var f RendFact
-	return c.pass.ImportObjectFact(fn, &f)
 }
 
 func (c *ctx) runsDomainOf(fn *types.Func) string {
@@ -502,8 +454,8 @@ func (c *ctx) calleeOf(call *ast.CallExpr) *types.Func {
 
 // scan walks one function (or closure) body, recording direct owned-state
 // accesses, static calls, and spawned closures. Function literals passed to
-// a rendezvous are skipped entirely; literals passed to a bftlint:runs
-// function are recorded for a separate check under that domain.
+// a bftlint:runs function are recorded for a separate check under that
+// domain.
 func (c *ctx) scan(body ast.Node, sum *summary) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -512,14 +464,8 @@ func (c *ctx) scan(body ast.Node, sum *summary) {
 			if callee == nil {
 				return true
 			}
-			if c.isRend(callee) {
-				c.scanCallSkippingLits(n, sum, nil)
-				return false
-			}
 			if d := c.runsDomainOf(callee); d != "" {
-				c.scanCallSkippingLits(n, sum, func(lit *ast.FuncLit) {
-					sum.spawns = append(sum.spawns, spawnRec{lit: lit, domain: d})
-				})
+				c.scanSpawn(n, sum, d)
 				return false
 			}
 			if c.ownerOf(callee) == "shared" {
@@ -538,16 +484,14 @@ func (c *ctx) scan(body ast.Node, sum *summary) {
 	})
 }
 
-// scanCallSkippingLits scans the callee expression and non-literal
-// arguments of call (they evaluate in the caller), skipping function
-// literal arguments; spawn, when non-nil, receives each skipped literal.
-func (c *ctx) scanCallSkippingLits(call *ast.CallExpr, sum *summary, spawn func(*ast.FuncLit)) {
+// scanSpawn scans the callee expression and non-literal arguments of a
+// call to a bftlint:runs function (they evaluate in the caller) and
+// records each function-literal argument as a closure spawned into domain.
+func (c *ctx) scanSpawn(call *ast.CallExpr, sum *summary, domain string) {
 	c.scan(call.Fun, sum)
 	for _, a := range call.Args {
 		if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
-			if spawn != nil {
-				spawn(lit)
-			}
+			sum.spawns = append(sum.spawns, spawnRec{lit: lit, domain: domain})
 			continue
 		}
 		c.scan(a, sum)

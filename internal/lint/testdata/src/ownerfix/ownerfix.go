@@ -1,6 +1,6 @@
 // Package ownerfix exercises bftowner: goroutine-ownership annotations and
-// call-graph reachability from entrypoints, rendezvous exemption, runs=
-// closure checking, method-level owner overrides, and allow= suppression.
+// call-graph reachability from entrypoints, runs= closure checking,
+// method-level owner overrides, unknown domains, and allow= suppression.
 package ownerfix
 
 // replica mimics the event-loop-owned protocol core. Field-level
@@ -11,17 +11,17 @@ type replica struct {
 	inbox chan int // bftlint:owner=shared
 }
 
-// region mimics executor-owned execution state with a type-level owner:
-// calling any of its methods counts as touching executor state.
+// region mimics event-loop-owned execution state with a type-level owner:
+// calling any of its methods counts as touching event-loop state.
 //
-// bftlint:owner=executor
+// bftlint:owner=eventloop
 type region struct{ n int }
 
 func (g *region) modify() { g.n++ }
 
-// stats is a shared-method carve-out of an owned type.
+// cache is an owned type with a shared-method carve-out.
 //
-// bftlint:owner=executor
+// bftlint:owner=eventloop
 type cache struct {
 	m    map[int]int
 	hits int
@@ -32,12 +32,18 @@ type cache struct {
 // bftlint:owner=shared
 func (c *cache) Len() int { return len(c.m) }
 
-// sync mimics execSync: closures run serialized against every owner.
+// wbuf mimics a worker's private state (the WAL writer's buffers).
 //
-// bftlint:rendezvous
-func sync(fn func()) { fn() }
+// bftlint:owner=worker
+type wbuf struct{ pending int }
 
-// spawn mimics a worker-pool constructor: literal args run on workers.
+// legacy names a domain outside eventloop | worker | shared; the
+// annotation itself is the finding.
+//
+// bftlint:owner=executor
+type legacy struct{ n int } // want `unknown owner domain "executor"`
+
+// spawn mimics a transport attach: literal args run on workers.
 //
 // bftlint:runs=worker
 func spawn(fn func()) { go fn() }
@@ -47,14 +53,14 @@ func spawn(fn func()) { go fn() }
 func (r *replica) bump() { r.seq++ }
 
 // bftlint:entrypoint=worker
-func decode(r *replica, g *region, c *cache) {
-	r.inbox <- 1             // shared field: ok
-	_ = r.seq                // want `worker-context decode reaches eventloop-owned replica\.seq`
-	r.bump()                 // want `eventloop-owned replica\.seq via bump`
-	g.modify()               // want `executor-owned \(region\)\.modify` `executor-owned region\.n via modify`
-	_ = c.Len()              // owner=shared method override: ok
-	sync(func() { r.seq++ }) // rendezvous closure: exempt
-	_ = r.view               // bftlint:allow=bftowner inspection hook, externally coordinated
+func decode(r *replica, g *region, c *cache, w *wbuf) {
+	r.inbox <- 1 // shared field: ok
+	w.pending++  // worker touching worker state: ok
+	_ = r.seq    // want `worker-context decode reaches eventloop-owned replica\.seq`
+	r.bump()     // want `eventloop-owned replica\.seq via bump`
+	g.modify()   // want `eventloop-owned \(region\)\.modify` `eventloop-owned region\.n via modify`
+	_ = c.Len()  // owner=shared method override: ok
+	_ = r.view   // bftlint:allow=bftowner inspection hook, externally coordinated
 }
 
 // arm is not an entrypoint itself, but the closure it hands to spawn runs
@@ -66,8 +72,8 @@ func arm(r *replica) {
 	})
 }
 
-// bftlint:entrypoint=executor
-func execute(g *region, r *replica) {
-	g.modify() // executor touching executor state: ok
-	_ = r.seq  // want `executor-context execute reaches eventloop-owned replica\.seq`
+// bftlint:entrypoint=eventloop
+func loop(g *region, w *wbuf) {
+	g.modify()    // event loop touching its own state: ok
+	w.pending = 0 // want `eventloop-context loop reaches worker-owned wbuf\.pending`
 }

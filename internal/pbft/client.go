@@ -39,11 +39,6 @@ type Client struct {
 	RetryTimeout time.Duration
 	// MaxRetries bounds retransmissions before Invoke fails.
 	MaxRetries int
-	// MulticastThreshold mirrors the library's separate-request-transmission
-	// cutoff (§5.1.5): operations larger than this are multicast to every
-	// replica up front, because the primary's pre-prepare will carry only
-	// their digest.
-	MulticastThreshold int
 
 	mu        sync.Mutex
 	timestamp uint64
@@ -73,16 +68,18 @@ type pendingInvoke struct {
 // derive from the same offline setup replicas use.
 func NewClient(id message.NodeID, dir *Directory, net Network, mode Mode, opt Options) *Client {
 	c := &Client{
-		id:                 id,
-		dir:                dir,
-		mode:               mode,
-		opt:                opt,
-		ks:                 crypto.NewKeyStore(uint32(id)),
-		kp:                 crypto.GenerateKeyPair(crypto.DeriveKey("client-identity", uint64(id))),
-		RetryTimeout:       150 * time.Millisecond,
-		MaxRetries:         10,
-		MulticastThreshold: 255,
-		nextReplier:        uint64(id), // stagger start across clients
+		id:           id,
+		dir:          dir,
+		mode:         mode,
+		opt:          opt,
+		ks:           crypto.NewKeyStore(uint32(id)),
+		kp:           crypto.GenerateKeyPair(crypto.DeriveKey("client-identity", uint64(id))),
+		RetryTimeout: 150 * time.Millisecond,
+		MaxRetries:   10,
+		nextReplier:  uint64(id), // stagger start across clients
+	}
+	if c.opt.InlineThreshold == 0 {
+		c.opt.InlineThreshold = defaultInlineThreshold
 	}
 	dir.Register(id, c.kp.Public)
 	for i := 0; i < dir.N(); i++ {
@@ -167,8 +164,10 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 
 	// First transmission: read-only requests and large requests (separate
 	// request transmission, §5.1.5) go to everyone; small read-write
-	// requests go to the believed primary (§2.3.2).
-	if useRO || (c.opt.SeparateRequests && len(op) > c.MulticastThreshold) {
+	// requests go to the believed primary (§2.3.2). The cutoff is the one
+	// the primary applies in buildPrePrepare: a request it carries only by
+	// digest must already be at every backup.
+	if useRO || (c.opt.SeparateRequests && len(op) > c.opt.InlineThreshold) {
 		c.sendRequest(req, message.NoNode)
 	} else {
 		c.sendRequest(req, c.dir.Primary(view))
@@ -186,11 +185,13 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 			c.mu.Unlock()
 			return res, nil
 		case <-ctx.Done():
+		case <-timer.C:
+		}
+		if err := ctxErr(ctx); err != nil {
 			c.mu.Lock()
 			c.pending = nil
 			c.mu.Unlock()
-			return nil, ctx.Err()
-		case <-timer.C:
+			return nil, err
 		}
 		// Retransmit to all replicas; ask everyone for the full result and
 		// demote read-only to read-write (§5.1.3, §5.2).
@@ -219,6 +220,20 @@ func (c *Client) InvokeContext(ctx context.Context, op []byte, readOnly bool) ([
 	c.pending = nil
 	c.mu.Unlock()
 	return nil, errors.New("pbft: request timed out without a reply certificate")
+}
+
+// ctxErr is ctx.Err(), except that a deadline already past counts even
+// before the context's own timer has cancelled it. The retry timer can come
+// due in the same instant as the caller's deadline, select then picks
+// either, and no retransmission may leave after the deadline.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // pickReplier chooses the designated replier round-robin (load balancing,

@@ -94,6 +94,7 @@ type Options struct {
 	// pre-prepares (§5.1.5).
 	SeparateRequests bool
 	// InlineThreshold is the size cutoff for inlining (thesis: 255 bytes).
+	// Clients and replicas must use the same value; 0 means the default.
 	InlineThreshold int
 	// FetchWindow bounds the number of state-transfer partition fetches in
 	// flight at once (§6.2.2 fetches partitions "in parallel from all
@@ -104,6 +105,9 @@ type Options struct {
 	// 0 means the default of 8.
 	FetchWindow int
 }
+
+// defaultInlineThreshold is the thesis's inlining cutoff in bytes (§5.1.5).
+const defaultInlineThreshold = 255
 
 // DefaultOptions enables everything, like the thesis's BFT configuration.
 func DefaultOptions() Options {
@@ -118,7 +122,7 @@ func DefaultOptions() Options {
 		AdaptiveBatch:    true,
 		AgreementWindow:  8,
 		SeparateRequests: true,
-		InlineThreshold:  255,
+		InlineThreshold:  defaultInlineThreshold,
 		FetchWindow:      8,
 	}
 }
@@ -183,9 +187,6 @@ type Config struct {
 	ViewChangeTimeout time.Duration
 	// StatusInterval is the period of status multicasts (§5.2).
 	StatusInterval time.Duration
-	// IdleStatus suppresses status messages while nothing is missing.
-	// (Always on; field kept for tests that want chatter.)
-	ChattyStatus bool
 
 	// StateSize and PageSize shape the service memory region; Fanout shapes
 	// the partition tree (§5.3.1).
@@ -281,7 +282,7 @@ func (c *Config) Validate() {
 		c.Opt.AgreementWindow = int(c.LogWindow)
 	}
 	if c.Opt.InlineThreshold == 0 {
-		c.Opt.InlineThreshold = 255
+		c.Opt.InlineThreshold = defaultInlineThreshold
 	}
 	if c.Opt.FetchWindow == 0 {
 		c.Opt.FetchWindow = 8

@@ -159,7 +159,7 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 			if pp.Seq > r.seqno {
 				r.seqno = pp.Seq
 			}
-			r.replayForward()
+			r.executeReady()
 		case wal.KindPrepare, wal.KindCommit:
 			seq := message.Seq(rec.Seq)
 			if !r.log.InWindow(seq) {
@@ -184,7 +184,7 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 			if seq > r.seqno {
 				r.seqno = seq
 			}
-			r.replayForward()
+			r.executeReady()
 		case wal.KindView:
 			v := message.View(rec.View)
 			if v < r.view {
@@ -269,44 +269,11 @@ func (r *Replica) replayRecovered(recov *wal.Recovered) message.View {
 			}
 		}
 	}
-	r.replayForward()
+	r.executeReady()
 	if r.lastExec > r.seqno {
 		r.seqno = r.lastExec
 	}
 	return pendingVC
-}
-
-// replayForward is executeForward minus the live-operation side effects
-// that make no sense mid-replay (read-only drain, view-change timer,
-// primary proposals — the queue is empty and every send is muted anyway).
-func (r *Replica) replayForward() {
-	for {
-		progress := false
-		for r.lastCommitted < r.lastExec {
-			s, ok := r.log.Peek(r.lastCommitted + 1)
-			if !ok || !r.log.CheckCommitted(s, r.primary(s.View)) {
-				break
-			}
-			r.finalizeBatch(s)
-			progress = true
-		}
-		next := r.lastExec + 1
-		s, ok := r.log.Peek(next)
-		if ok && s.PrePrepare != nil && r.haveSeparateBodies(s.PrePrepare) {
-			if r.log.CheckCommitted(s, r.primary(s.View)) {
-				r.execBatch(s, false)
-				progress = true
-			} else if r.cfg.Opt.TentativeExec && r.active &&
-				r.lastExec == r.lastCommitted &&
-				r.log.CheckPrepared(s, r.primary(s.View)) {
-				r.execBatch(s, true)
-				progress = true
-			}
-		}
-		if !progress {
-			return
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

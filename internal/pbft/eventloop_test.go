@@ -68,20 +68,23 @@ func TestEgressSurvivesKeyRefresh(t *testing.T) {
 	cfg.KeyRefreshInterval = 10 * tickInterval
 	c := newTestCluster(t, 4, cfg, nil)
 	cl := c.NewClient()
-	var gen0 uint64
+	r0 := c.Replica(0)
+	epoch := func() (e uint32) {
+		r0.do(func() { e = r0.rec.epoch })
+		return e
+	}
+	var epoch0 uint32
 	for i := 1; i <= 20; i++ {
 		res := mustInvoke(t, cl, kvservice.Incr(), false)
 		if got := kvservice.DecodeU64(res); got != uint64(i) {
 			t.Fatalf("incr %d -> %d under key refresh", i, got)
 		}
 		if i == 1 {
-			// The client's keys are installed by now; later generations
-			// come from refreshes.
-			gen0 = c.Replica(0).ks.Generation()
+			epoch0 = epoch()
 		}
 	}
 	waitUntil(t, 10*time.Second, "a key refresh", func() bool {
-		return c.Replica(0).ks.Generation() != gen0
+		return epoch() != epoch0
 	})
 }
 

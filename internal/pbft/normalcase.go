@@ -610,10 +610,25 @@ func (r *Replica) progressSlot(slot *vlog.Slot) {
 // Execution (§2.3.3, §5.1.2)
 // ---------------------------------------------------------------------------
 
-// executeForward executes committed batches in order, tentatively executes
-// prepared batches when permitted, and finalizes tentative executions whose
-// commits completed.
+// executeForward runs the execution loop, then the live-operation steps
+// that follow progress: serve waiting reads, re-arm the view-change timer,
+// and let the primary propose.
 func (r *Replica) executeForward() {
+	r.executeReady()
+	r.drainReadOnly()
+	r.updateVCTimer()
+	if r.isPrimary() {
+		r.tryIssuePrePrepares()
+	}
+}
+
+// executeReady executes committed batches in order, tentatively executes
+// prepared batches when permitted, and finalizes tentative executions whose
+// commits completed. WAL replay calls it directly, before the event loop
+// exists: the live-only tail of executeForward has nothing to do while
+// every send is muted, and the !vc.pending and !rec.inRecovery guards below
+// hold because only the running event loop sets either.
+func (r *Replica) executeReady() {
 	for {
 		progress := false
 
@@ -644,13 +659,8 @@ func (r *Replica) executeForward() {
 		}
 
 		if !progress {
-			break
+			return
 		}
-	}
-	r.drainReadOnly()
-	r.updateVCTimer()
-	if r.isPrimary() {
-		r.tryIssuePrePrepares()
 	}
 }
 
@@ -969,9 +979,13 @@ func (r *Replica) inWV(v message.View, seq message.Seq) bool {
 // tentative-only waiting restarts the deadline whenever the committed
 // frontier advances — under sustained load some batch is always tentatively
 // ahead of its commits, and a healthy pipelining cluster must not view-
-// change over it.
+// change over it. While a view change is pending the deadline is the
+// new-view wait timer (checkVCQuorumTimer), which no arrival may touch.
 func (r *Replica) updateVCTimer() {
-	if r.isPrimary() || r.vc.pending {
+	if r.vc.pending {
+		return
+	}
+	if r.isPrimary() {
 		r.vcTimerDeadline = time.Time{}
 		return
 	}

@@ -2,6 +2,8 @@ package pbft
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -492,6 +494,42 @@ func TestAllOptimizationsDisabled(t *testing.T) {
 	}
 }
 
+// TestInlineThresholdShared runs a non-default §5.1.5 cutoff: a request
+// above it rides in the pre-prepare by digest only, so the client must
+// multicast it to every replica on its first transmission.
+func TestInlineThresholdShared(t *testing.T) {
+	cfg := testConfig()
+	cfg.Opt.InlineThreshold = 32
+	cfg.StateSize = kvservice.MinStateSize + 4096
+	c := NewLocalCluster(4, cfg, kvservice.Factory, nil)
+	cl := c.NewClient()
+	var direct [4]atomic.Int64 // request datagrams from the client, by replica
+	c.Net.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
+		if src == cl.ID() && int(dst) < len(direct) {
+			if m, err := message.Unmarshal(p); err == nil {
+				if _, ok := m.(*message.Request); ok {
+					direct[dst].Add(1)
+				}
+			}
+		}
+		return p, true
+	})
+	c.Start()
+	t.Cleanup(c.Stop)
+	cl.RetryTimeout = 10 * time.Second // one transmission only
+
+	blob := bytes.Repeat([]byte{0x5A}, 64)
+	mustInvoke(t, cl, kvservice.WriteBlob(blob), false)
+	for id := range direct {
+		if direct[id].Load() == 0 {
+			t.Fatalf("replica %d never received the %d-byte request from the client", id, len(kvservice.WriteBlob(blob)))
+		}
+	}
+	if res := mustInvoke(t, cl, kvservice.ReadBlob(len(blob)), true); !bytes.Equal(res, blob) {
+		t.Fatal("blob round trip corrupted data")
+	}
+}
+
 func TestClientTimeoutWhenClusterDown(t *testing.T) {
 	cfg := testConfig()
 	c := NewLocalCluster(4, cfg, kvservice.Factory, map[message.NodeID]Behavior{
@@ -504,6 +542,43 @@ func TestClientTimeoutWhenClusterDown(t *testing.T) {
 	cl.MaxRetries = 2
 	if _, err := cl.Invoke(kvservice.Incr(), false); err == nil {
 		t.Fatal("invoke succeeded against a dead cluster")
+	}
+}
+
+// lateCtx is a context whose deadline has passed but whose cancellation has
+// not run yet: context cancels from a timer goroutine that can lag the
+// client's own retry timer.
+type lateCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func TestNoRetransmissionAfterDeadline(t *testing.T) {
+	cfg := testConfig()
+	c := NewLocalCluster(4, cfg, kvservice.Factory, map[message.NodeID]Behavior{
+		0: Crashed, 1: Crashed, 2: Crashed, 3: Crashed,
+	})
+	cl := c.NewClient()
+	ctx := lateCtx{Context: context.Background(), deadline: time.Now().Add(30 * time.Millisecond)}
+	var late atomic.Int64
+	c.Net.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
+		if src == cl.ID() && time.Now().After(ctx.deadline) {
+			late.Add(1)
+		}
+		return p, true
+	})
+	c.Start()
+	t.Cleanup(c.Stop)
+	cl.RetryTimeout = 10 * time.Millisecond
+	cl.MaxRetries = 10
+	_, err := cl.InvokeContext(ctx, kvservice.Incr(), false)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d request datagrams left after the caller's deadline", n)
 	}
 }
 

@@ -479,10 +479,6 @@ func (r *Replica) recoveryTick(now time.Time) {
 		r.seqno < r.lastExec+message.Seq(r.cfg.Opt.AgreementWindow) {
 		// Issue a null batch: an empty batch whose execution is a no-op but
 		// advances sequence numbers toward the next checkpoint.
-		r.seqno++
-		pp := &message.PrePrepare{View: r.view, Seq: r.seqno, Replica: r.id,
-			NonDet: r.service.ProposeNonDet()}
-		r.multicastReplicas(pp)
-		r.acceptPrePrepare(pp)
+		r.issueBatch(nil)
 	}
 }

@@ -196,9 +196,9 @@ type Replica struct {
 	// event loop only.
 	wal          *wal.Writer // bftlint:owner=shared
 	muted        atomic.Bool // bftlint:owner=shared
-	walRotated   uint64      // writer bytes at the last segment rotation; bftlint:owner=loop
-	rekeyOnStart bool        // replayed from an existing log: re-announce in-keys (§4.3.1); bftlint:owner=loop
-	keyRecs      keyRecords  // key-exchange records to re-log on rotation; bftlint:owner=loop
+	walRotated   uint64      // writer bytes at the last segment rotation
+	rekeyOnStart bool        // replayed from an existing log: re-announce in-keys (§4.3.1)
+	keyRecs      keyRecords  // key-exchange records to re-log on rotation
 
 	rng     *rand.Rand
 	metrics Metrics

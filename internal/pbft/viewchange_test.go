@@ -261,3 +261,62 @@ func TestQSetBoundEnforced(t *testing.T) {
 		}
 	})
 }
+
+// TestNewViewWaitSurvivesRetransmission is the §2.3.5 liveness regression:
+// once 2f+1 view-changes for view v are in, a backup arms the new-view wait
+// timer, and if the primary of v never delivers its new-view the backup
+// must move on to v+1. A client retransmitting every 10 ms keeps landing
+// requests on the waiting backups; none of them may erase that timer.
+func TestNewViewWaitSurvivesRetransmission(t *testing.T) {
+	cfg := testConfig()
+	c := NewLocalCluster(4, cfg, kvservice.Factory, map[message.NodeID]Behavior{0: Crashed})
+	// Replica 1, primary of view 1, never delivers its new-view.
+	c.Net.SetFilter(func(src, dst message.NodeID, p []byte) ([]byte, bool) {
+		if src != 1 {
+			return p, true
+		}
+		if m, err := message.Unmarshal(p); err == nil {
+			if _, ok := m.(*message.NewView); ok {
+				return nil, false
+			}
+		}
+		return p, true
+	})
+	c.Start()
+	t.Cleanup(c.Stop)
+
+	cl := c.NewClient()
+	req := &message.Request{Client: cl.ID(), Timestamp: 1, Replier: message.NoNode, Op: kvservice.Incr()}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			cl.sendRequest(req, message.NoNode)
+			select {
+			case <-tick.C:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+
+	waitUntil(t, 10*time.Second, "replicas 1-3 leave view 1", func() bool {
+		for id := 1; id <= 3; id++ {
+			if c.Replica(id).View() < 2 {
+				return false
+			}
+		}
+		return true
+	})
+	// The new primary orders the retransmitted request exactly once.
+	res := mustInvoke(t, c.NewClient(), kvservice.Get(), true)
+	if got := kvservice.DecodeU64(res); got != 1 {
+		t.Fatalf("counter = %d after the view change, want 1", got)
+	}
+}

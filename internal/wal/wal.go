@@ -189,8 +189,8 @@ type wcmd struct {
 type Writer struct {
 	opts Options
 
-	cmdC  chan Record   // record appends only; bftlint:owner=shared
-	urgC  chan wcmd     // barrier/snapshot/stop; bftlint:owner=shared
+	cmdC  chan Record   // record appends only
+	urgC  chan wcmd     // barrier/snapshot/stop
 	killC chan struct{} // bftlint:owner=shared
 	doneC chan struct{} // bftlint:owner=shared
 	kill1 sync.Once
